@@ -2,7 +2,7 @@
 deterministic TSV or JSON reports.
 
 Exit codes: 0 when nothing failed, 1 when any check failed, 2 on usage
-errors.  Output is byte-identical across runs with the same flags.
+errors, including a parameter matrix that yields no records.  Output is byte-identical across runs with the same flags.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def main(argv=None) -> int:
             report = run_dirichlet(args.N_max, args.n_max, fields)
     except (ValueError, OSError, KeyError) as exc:
         parser.exit(2, f"usage error: {exc!r}\n")
+    if not report.records:
+        parser.exit(2, "usage error: the parameter matrix yields no records\n")
     text = report.to_json() if args.format == "json" else report.to_tsv()
     if args.out:
         with open(args.out, "w") as fh:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicNumber
 from .gf import FieldExt
-from .numtheory import factorize, is_prime, smallest_primitive_root, squarefree_subsets
+from .numtheory import divisors, factorize, is_prime, smallest_primitive_root, squarefree_subsets
 from .report import SKIP, VerificationReport, fmt_rational
 
 # Largest field size enumerated exhaustively; beyond this the required
@@ -613,7 +613,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
     L = {a: l_series_kummer(cover, a, B, max_field_size) for a in range(d)}
     zeta_of = {
         s: zeta_series(cover.quotient(s), B, level=d, max_field_size=max_field_size)
-        for s in _divisors(d)
+        for s in divisors(d)
     }
 
     # (i) zeta(Y) = prod_a L(X, chi^a)
@@ -624,7 +624,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
               zeta_of[1].coeffs, product_all.coeffs, render=_series_str)
 
     # (ii) descent: zeta(Y/C_s) = prod over characters trivial on C_s
-    for s in _divisors(d):
+    for s in divisors(d):
         part = TruncatedLSeries.one(d, B)
         for a in range(0, d, s):
             part = part * L[a]
@@ -633,7 +633,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
 
     # (iii) induction: prod of characters of C_d restricting to chi_(s,b)
     #       equals the L-series computed over the intermediate quotient
-    for s in _divisors(d):
+    for s in divisors(d):
         for b in range(s):
             lhs = TruncatedLSeries.one(d, B)
             for a in range(b % s, d, s):
@@ -683,7 +683,3 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
 
 def _series_str(coeffs) -> str:
     return "[" + ", ".join(str(c) for c in coeffs) + "]"
-
-
-def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]

@@ -1,10 +1,11 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-Elements are stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) with
-Fraction coefficients, reduced modulo the m-th cyclotomic polynomial.  The
-representation is canonical, so equality is coefficientwise.  Levels are
-never mixed implicitly; raise_level gives the embedding zeta_m' -> zeta_m^(m/m')
-for m' | m.
+Elements are stored in the power basis 1, zeta, ..., zeta^(phi(m)-1) as an
+integer numerator vector over one positive denominator, reduced modulo the
+m-th cyclotomic polynomial and normalized so that gcd(num..., den) = 1, with
+zero stored as 0/1.  The representation is canonical, so equality and
+hashing compare plain tuples.  Levels are never mixed implicitly;
+raise_level gives the embedding zeta_m' -> zeta_m^(m/m') for m' | m.
 
 Norms down to Q are computed as products of Galois conjugates, never by
 floating point.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import FgAbelianGroup, IntMatrix, PresentedAbelianGroup
 from .numtheory import divisors, euler_phi
@@ -28,37 +29,25 @@ from .numtheory import divisors, euler_phi
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
     return out
 
 
-def _poly_rem(a, mod):
-    """Remainder of a modulo a monic polynomial mod."""
+def _poly_div_exact(a, b):
+    """Exact quotient of integer polynomials a / b; b monic."""
     a = list(a)
-    deg_m = len(mod) - 1
-    for i in range(len(a) - 1, deg_m - 1, -1):
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            for j in range(deg_m + 1):
-                a[i - deg_m + j] -= c * mod[j]
-    del a[deg_m:]
-    return a
-
-
-def _poly_divmod_exact(a, b):
-    """Exact division of integer polynomials, a = q * b; b monic."""
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        q[i - (len(b) - 1)] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i - (len(b) - 1) + j] -= c * y
+            q[i - db] = c
+            for j, y in enumerate(b, i - db):
+                a[j] -= c * y
     if any(a):
         raise ArithmeticError("division not exact")
     return q
@@ -68,8 +57,8 @@ def _poly_divmod_exact(a, b):
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first.
 
-    Computed by dividing x^m - 1 by the product of all lower-level factors;
-    monic of degree phi(m) and irreducible over Q.
+    Computed by dividing x^m - 1 by each lower-level factor in turn; monic
+    of degree phi(m) and irreducible over Q.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -80,49 +69,105 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("level must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    quo = [-1] + [0] * (m - 1) + [1]
     for d in divisors(m):
         if d < m:
-            den = _poly_mul(den, [Fraction(c) for c in cyclotomic_polynomial(d)])
-    quo = _poly_divmod_exact(num, den)
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise ArithmeticError("cyclotomic polynomial is integral")
-        out.append(int(c))
+            quo = _poly_div_exact(quo, cyclotomic_polynomial(d))
+    return tuple(quo)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^i mod Phi_m for phi(m) <= i < m, each row as the (index,
+    coefficient) pairs of its nonzero power-basis coefficients."""
+    phi_m = cyclotomic_polynomial(m)
+    row = [-c for c in phi_m[:-1]]
+    rows = []
+    for _ in range(len(row), m):
+        rows.append(tuple((k, c) for k, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi_m)]
+    return tuple(rows)
+
+
+def _reduce(m: int, vec) -> tuple[int, ...]:
+    """Power-basis coefficients of sum(vec[i] x^i) mod Phi_m, for integer vec
+    of any length.  Exponents first fold mod m, valid as Phi_m | x^m - 1."""
+    table = _reduction_table(m)
+    phi = m - len(table)
+    if len(vec) > m:
+        folded = [0] * m
+        for i, c in enumerate(vec):
+            folded[i % m] += c
+        vec = folded
+    out = list(vec[:phi])
+    out += [0] * (phi - len(out))
+    for i in range(phi, len(vec)):
+        c = vec[i]
+        if c:
+            for k, t in table[i - phi]:
+                out[k] += c * t
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _set_canonical(z, m: int, num, den: int) -> "CyclotomicNumber":
+    """Store num/den on z in canonical form; num has length phi(m), den > 0."""
+    g = gcd(*num, den)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(z, "level", m)
+    object.__setattr__(z, "num", tuple(num))
+    object.__setattr__(z, "den", den)
+    return z
+
+
+def _element(m: int, num, den: int) -> "CyclotomicNumber":
+    return _set_canonical(object.__new__(CyclotomicNumber), m, num, den)
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    fracs = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CyclotomicNumber:
-    """Element of Q(zeta_m) as sum(coeffs[i] * zeta_m^i), reduced mod Phi_m."""
+    """Element of Q(zeta_m) as sum(num[i] * zeta_m^i) / den, reduced mod Phi_m."""
 
     level: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.level):
+    def __init__(self, level: int, coeffs):
+        """The element sum(coeffs[i] * zeta_level^i); len(coeffs) = phi(level)."""
+        if len(coeffs) != euler_phi(level):
             raise ValueError("coefficient vector must have length phi(level)")
+        _set_canonical(self, level, *_over_common_denominator(coeffs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, m: int, coeffs) -> "CyclotomicNumber":
         """Reduce an arbitrary-length coefficient list modulo Phi_m."""
-        mod = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        reduced = _poly_rem([Fraction(c) for c in coeffs], mod)
-        phi = euler_phi(m)
-        reduced += [Fraction(0)] * (phi - len(reduced))
-        return cls(m, tuple(reduced[:phi]))
+        num, den = _over_common_denominator(coeffs)
+        return _element(m, _reduce(m, num), den)
 
     @classmethod
     def rational(cls, m: int, value) -> "CyclotomicNumber":
-        return cls.from_coeffs(m, [Fraction(value)])
+        value = Fraction(value)
+        return _element(m, (value.numerator,) + (0,) * (euler_phi(m) - 1), value.denominator)
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        return cls.from_coeffs(m, [0] * (power % m) + [1])
+        return _element(m, _reduce(m, [0] * (power % m) + [1]), 1)
 
     # -- ring structure -----------------------------------------------------
 
@@ -140,12 +185,14 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return CyclotomicNumber(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return _element(self.level, [a * sa + b * sb for a, b in zip(self.num, other.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, tuple(-a for a in self.coeffs))
+        return _element(self.level, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -154,24 +201,42 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return CyclotomicNumber.from_coeffs(self.level, _poly_mul(list(self.coeffs), list(other.coeffs)))
+        if not isinstance(other, CyclotomicNumber):
+            r = Fraction(other)
+            return _element(self.level, [a * r.numerator for a in self.num], self.den * r.denominator)
+        self._check_level(other)
+        return _element(
+            self.level, _reduce(self.level, _poly_mul(self.num, other.num)), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_m."""
+        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_m.
+
+        Fraction-free: each remainder is a pseudo-remainder over Z, and each
+        (remainder, cofactor) pair is divided by its common content.
+        """
         if self.is_zero:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # invariant: r_k = s_k * self (mod Phi_m); Phi_m is irreducible and
-        # deg(self) < deg(Phi_m), so the gcd is a nonzero constant
-        r0, s0 = [Fraction(c) for c in cyclotomic_polynomial(self.level)], [Fraction(0)]
-        r1, s1 = _trimmed(self.coeffs), [Fraction(1)]
+        # invariant: r_k = s_k * num (mod Phi_m) with integer r_k, s_k; Phi_m
+        # is irreducible and deg(num) < deg(Phi_m), so the remainders end in
+        # a nonzero constant
+        m = self.level
+        r0, s0 = list(cyclotomic_polynomial(m)), [0]
+        r1, s1 = _trimmed(self.num), [1]
         while len(r1) > 1:
-            q, r = _poly_quorem(r0, r1)
-            r0, r1 = r1, _trimmed(r)
-            s0, s1 = s1, [a - b for a, b in _zip_pad(s0, _poly_mul(q, s1))]
-        return CyclotomicNumber.from_coeffs(self.level, [c / r1[0] for c in s1])
+            while len(r0) >= len(r1):
+                g = gcd(r0[-1], r1[-1])
+                lead, c, shift = r1[-1] // g, r0[-1] // g, len(r0) - len(r1)
+                r0 = _trimmed(_scaled_sub(r0, lead, c, r1, shift))
+                s0 = _scaled_sub(s0, lead, c, s1, shift)
+            g = gcd(*r0, *s0)
+            r0, r1 = r1, [x // g for x in r0]
+            s0, s1 = s1, [x // g for x in s0]
+        c = r1[0]
+        scale = self.den if c > 0 else -self.den
+        return _element(m, _reduce(m, [x * scale for x in s1]), abs(c))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -195,27 +260,28 @@ class CyclotomicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     @property
     def is_integral(self) -> bool:
         """True when all power-basis coefficients are integers."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def __str__(self):
+        coeffs = self.coeffs
         if self.is_rational:
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             term = "1" if i == 0 else (f"z{self.level}" if i == 1 else f"z{self.level}^{i}")
@@ -235,10 +301,10 @@ class CyclotomicNumber:
         m = self.level
         if gcd(j, m) != 1:
             raise ValueError(f"{j} is not coprime to the level {m}")
-        out = [Fraction(0)] * (m + 1)
-        for i, c in enumerate(self.coeffs):
+        out = [0] * m
+        for i, c in enumerate(self.num):
             out[(i * j) % m] += c
-        return CyclotomicNumber.from_coeffs(m, out)
+        return _element(m, _reduce(m, out), self.den)
 
     def norm_to_Q(self) -> Fraction:
         """Product of all Galois conjugates; lands in Q.
@@ -260,10 +326,10 @@ class CyclotomicNumber:
         if m_new % self.level != 0:
             raise ValueError(f"{self.level} does not divide {m_new}")
         step = m_new // self.level
-        out = [Fraction(0)] * ((self.level - 1) * step + 1 if self.coeffs else 1)
-        for i, c in enumerate(self.coeffs):
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        for i, c in enumerate(self.num):
             out[i * step] += c
-        return CyclotomicNumber.from_coeffs(m_new, out)
+        return _element(m_new, _reduce(m_new, out), self.den)
 
 
 def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
@@ -274,7 +340,7 @@ def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
     cols = []
     for i in range(phi):
         col = (z * CyclotomicNumber.zeta(z.level, i)) if i else z
-        cols.append([int(c) for c in col.coeffs])
+        cols.append(list(col.num))  # den == 1 for integral z
     return IntMatrix.from_rows([[cols[j][i] for j in range(phi)] for i in range(phi)], phi)
 
 
@@ -291,31 +357,16 @@ def quotient_by_principal(m: int, z: CyclotomicNumber) -> FgAbelianGroup:
     return PresentedAbelianGroup(euler_phi(m), multiplication_matrix(z)).normal_form()
 
 
-# -- low-level polynomial division used by inverse() ------------------------
+# -- low-level polynomial helpers used by inverse() ---------------------------
 
 
-def _poly_quorem(a, b):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lead
-        q[len(a) - 1 - db] = c
-        for j in range(db + 1):
-            a[len(a) - 1 - db + j] -= c * b[j]
-        while a and not a[-1]:
-            a.pop()
-    return q, a
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+def _scaled_sub(a, lead, c, b, shift):
+    """lead * a - c * x^shift * b for integer polynomials a, b."""
+    out = [lead * x for x in a]
+    out += [0] * (len(b) + shift - len(out))
+    for j, y in enumerate(b, shift):
+        out[j] -= c * y
+    return out
 
 
 def _trimmed(coeffs):

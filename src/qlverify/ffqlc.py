@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .abelian import FgAbelianGroup, IntMatrix, PresentedAbelianGroup
 from .cyclotomic import CyclotomicNumber, quotient_by_principal
@@ -130,16 +130,9 @@ def moebius_zeta_product_ff(q: int, m: int, k: int) -> Fraction:
         raise ValueError("positive m and k required")
     result = Fraction(1)
     for subset, sign in squarefree_subsets(factorize(m).primes):
-        z = zeta_value_ff(q ** (m // _prod(subset)), k)
+        z = zeta_value_ff(q ** (m // prod(subset)), k)
         result *= z if sign == 1 else 1 / z
     return result
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def equivariant_k_finite_field(q: int, m: int, rep, t: int) -> FgAbelianGroup:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 
@@ -41,6 +42,8 @@ class Factorization:
         return prod(self.primes)
 
 
+# Factorization is frozen, so every caller may share the cached instance.
+@lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
     """Trial-division factorization; n = 1 gives the empty factor list.
 
@@ -69,6 +72,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """
     >>> [euler_phi(n) for n in (1, 6, 12)]

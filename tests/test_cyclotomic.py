@@ -254,3 +254,66 @@ def test_canonical_representation_and_integrality():
 def test_json_serialization():
     z = rat(3, Fraction(-2, 5)) + zeta(3)
     assert z.as_json() == {"level": 3, "coeffs": ["-2/5", "1/1"]}
+
+
+def test_canonical_form_equal_values_hash_equal():
+    pairs = [
+        (CyclotomicNumber(6, (Fraction(2, 4), 1)), CyclotomicNumber(6, (Fraction(1, 2), 1))),
+        # z6^i cycles through 1, z, z - 1, -1, -z, 1 - z
+        (CyclotomicNumber.from_coeffs(6, range(1, 9)), CyclotomicNumber(6, (7, 2))),
+    ]
+    w = CyclotomicNumber(7, (Fraction(1, 3), -2, 0, Fraction(5, 6), 1, 0))
+    pairs.append((w.galois_conjugate(3).galois_conjugate(5), w))  # 3 * 5 = 1 mod 7
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+def test_canonical_form_stored_numerator_and_denominator():
+    cases = [
+        (rat(5, 0), (0, 0, 0, 0), 1),
+        (rat(3, Fraction(-2, 4)), (-1, 0), 2),
+        (zeta(6) * Fraction(-6, 4), (0, -3), 2),
+        (CyclotomicNumber(4, (Fraction(2, 6), Fraction(-4, 6))), (1, -2), 3),
+        (CyclotomicNumber(4, (4, 6)), (4, 6), 1),
+    ]
+    for z, num, den in cases:
+        assert (z.num, z.den) == (num, den)
+        assert z.den > 0 and gcd(*z.num, z.den) == 1
+        assert all(type(c) is Fraction for c in z.coeffs)
+
+
+def test_constructor_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        CyclotomicNumber(6, (1, 2, 3))
+    with pytest.raises(ValueError):
+        CyclotomicNumber(5, ())
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: sympy
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
+
+
+def test_norm_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(7)
+    for m in range(1, 41):
+        phi = euler_phi(m)
+        for _ in range(2):
+            w = [rng.randint(-3, 3) for _ in range(phi)]
+            d = rng.randint(2, 9)
+            res = sympy.resultant(
+                sympy.cyclotomic_poly(m, x), sum(c * x**i for i, c in enumerate(w)), x
+            )
+            assert CyclotomicNumber(m, w).norm_to_Q() == int(res)
+            rational_z = CyclotomicNumber(m, [Fraction(c, d) for c in w])
+            assert rational_z.norm_to_Q() == Fraction(int(res), d**phi)

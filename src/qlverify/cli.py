@@ -46,9 +46,10 @@ def run_ffqlc(q_list, m_max: int, k_max: int) -> VerificationReport:
 
 
 def run_curves(specs, order=None, max_field_size=DEFAULT_MAX_FIELD_SIZE) -> VerificationReport:
+    """verify_l_identities for every cover spec {"p": int, "d": int, "f": [int, ...]}."""
     report = VerificationReport()
     for spec in specs:
-        cover = KummerCover(int(spec["p"]), int(spec["d"]), tuple(int(c) for c in spec["f"]))
+        cover = KummerCover(spec["p"], spec["d"], tuple(spec["f"]))
         report.extend(verify_l_identities(cover, order, max_field_size))
     return report
 
@@ -72,10 +73,7 @@ def run_dirichlet(n_max: int, order_max: int, fields=()) -> VerificationReport:
         for H in all_subgroups(N):
             if minus_one in H and quotient_is_cyclic(N, H):
                 matrix.append((N, H))
-    matrix.extend(
-        (int(spec["modulus"]), frozenset(int(a) for a in spec["subgroup"]))
-        for spec in fields
-    )
+    matrix.extend((spec["modulus"], frozenset(spec["subgroup"])) for spec in fields)
     for N, H in matrix:
         for n in range(1, order_max + 1):
             report.extend(verify_norm_identity_numberfield(N, H, n))
@@ -124,6 +122,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(c) for c in x)
+
+
+def _cover_spec(spec) -> dict:
+    if not (isinstance(spec, dict) and _is_int(spec.get("p")) and _is_int(spec.get("d"))
+            and _is_int_list(spec.get("f"))):
+        raise ValueError(f'cover spec must look like {{"p": 3, "d": 2, "f": [0, 1]}}, got {spec!r}')
+    return spec
+
+
+def _field_spec(spec) -> dict:
+    if not (isinstance(spec, dict) and _is_int(spec.get("modulus")) and spec["modulus"] >= 1
+            and _is_int_list(spec.get("subgroup"))):
+        raise ValueError(
+            f'field spec must look like {{"modulus": 5, "subgroup": [1, 4]}} with modulus >= 1, got {spec!r}'
+        )
+    return spec
+
+
 def _load_cover_specs(args) -> list[dict]:
     if not args.spec:
         return [dict(s) for s in DEFAULT_COVERS]
@@ -136,7 +158,7 @@ def _load_cover_specs(args) -> list[dict]:
             with open(text) as fh:
                 loaded = json.load(fh)
         specs.extend(loaded if isinstance(loaded, list) else [loaded])
-    return specs
+    return [_cover_spec(spec) for spec in specs]
 
 
 def main(argv=None) -> int:
@@ -148,7 +170,7 @@ def main(argv=None) -> int:
         elif args.command == "curves":
             report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
         else:
-            fields = [json.loads(text) for text in args.field]
+            fields = [_field_spec(json.loads(text)) for text in args.field]
             report = run_dirichlet(args.N_max, args.n_max, fields)
     except (ValueError, OSError, KeyError) as exc:
         parser.exit(2, f"usage error: {exc!r}\n")

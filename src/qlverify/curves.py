@@ -17,12 +17,22 @@ where class(x) is the d-th power residue class of f(x), i.e. the discrete
 logarithm of f(x)^((p^r - 1)/d) in mu_d with respect to the fixed
 generator of F_p^x.  All series coefficients are exact cyclotomic numbers.
 
-Point enumeration is exhaustive but table-driven: for each degree r a
-discrete-logarithm table of F_(p^r) is built once (a power walk of a
-multiplicative generator, vectorized with numpy in the coefficient
-domain), after which evaluating f on every element costs a few index
-operations per element, exactly.  Numpy only ever holds integer counts
-and indices below 2^63, so exactness is preserved throughout.
+Point enumeration is exhaustive but works on discrete logarithms.  For
+each degree r, tables of F_(p^r) are built once for a multiplicative
+generator g: enc_pow (g^i -> encoding), dlog (encoding -> i) and the Zech
+array zech[i] = dlog(1 + g^i).  Encodings use window coordinates: g^i is
+the base-p number with digits (u_i, ..., u_(i+r-1)), where u is the
+impulse response of the minimal polynomial of g.  This is an F_p-linear
+coordinate system in which the constant c encodes as c, so adding 1 only
+bumps digit 0.  The power walk extends u by doubling steps over numpy
+slices, O(p^r * r) work.  The tables are int32 whenever p^r < 2^31.
+
+f is then evaluated at every x = g^i by Horner's rule on logs:
+multiplying by x adds i, and adding a nonzero constant costs one gather
+from the Zech array.  Numpy holds only integers, all below 2^63: walk
+terms are sums of r products of residues (< r p^2), encodings are < p^r,
+and Horner logs stay below (deg f + 2) n with n = p^r - 1.  So every
+count is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +54,8 @@ from .report import SKIP, VerificationReport, fmt_rational
 # time or memory budget, so callers receive a budget error or SKIP records.
 DEFAULT_MAX_FIELD_SIZE = 30_000_000
 
-_WALK_CHUNK = 4096
+# elements per numpy pass when building tables and histograms
+_CHUNK = 1 << 20
 
 
 class EnumerationBudgetExceeded(Exception):
@@ -133,42 +144,47 @@ class KummerCover:
 
 
 class _FieldTables:
-    """enc_pow[i] = encoding of g^i; dlog[enc] = i (dlog of 0 is -1)."""
+    """Discrete-log tables of F_(p^r) for its multiplicative generator g.
+
+    Elements are encoded in window coordinates: with u the impulse response
+    of the minimal polynomial of g (u_0 = 1, u_1..u_(r-1) = 0), g^i encodes
+    as the base-p number with digits (u_i, ..., u_(i+r-1)).  This is an
+    F_p-linear isomorphism F_(p^r) -> F_p^r that sends the constant c to c,
+    so the logs of constants, constant_root_of_unity and "add 1 = bump
+    digit 0" read the same as in the coefficient basis.
+
+    enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
+    zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
+    The three arrays are int32 when p^r < 2^31, else int64.
+    """
 
     def __init__(self, p: int, r: int):
         field = FieldExt.create(p, r)
         self.p, self.r, self.field = p, r, field
-        self.n = field.size - 1
-        g = field.multiplicative_generator()
-        self.g = g
-        enc_pow = np.empty(self.n, dtype=np.int64)
-        chunk = min(_WALK_CHUNK, self.n)
-        # baby steps g^0..g^(chunk-1), then whole-chunk jumps by the linear
-        # map "multiply by g^chunk" acting on coefficient columns
-        digits = np.zeros((r, chunk), dtype=np.int64)
-        cur = field.one()
-        for i in range(chunk):
-            digits[:, i] = cur
-            cur = field.mul(cur, g)
-        g_chunk = field.pow(g, chunk)
-        jump = np.zeros((r, r), dtype=np.int64)
-        for j in range(r):
-            basis = tuple(1 if t == j else 0 for t in range(r))
-            jump[:, j] = field.mul(basis, g_chunk)
-        p_pows = np.array([p**i for i in range(r)], dtype=np.int64)
-        pos = 0
-        while pos < self.n:
-            take = min(chunk, self.n - pos)
-            enc_pow[pos : pos + take] = p_pows @ digits[:, :take]
-            pos += take
-            if pos < self.n:
-                digits = (jump @ digits) % p
-        self.enc_pow = enc_pow
-        dlog = np.full(field.size, -1, dtype=np.int64)
-        dlog[enc_pow] = np.arange(self.n, dtype=np.int64)
-        self.dlog = dlog
-        if dlog[field.encode(field.one())] != 0:
-            raise AssertionError("power walk is inconsistent")
+        n = self.n = field.size - 1
+        g = self.g = field.multiplicative_generator()
+        u = _impulse_response(_minimal_polynomial(field, g), p, n + r - 1)
+        index = np.int32 if field.size < 2**31 else np.int64
+        enc_pow = np.empty(n, dtype=index)
+        dlog = np.full(field.size, -1, dtype=index)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            enc = np.zeros(stop - start, dtype=index)
+            for j in reversed(range(r)):
+                enc *= p
+                enc += u[start + j : stop + j]
+            enc_pow[start:stop] = enc
+            dlog[enc] = np.arange(start, stop, dtype=index)
+        if dlog[1] != 0 or dlog[0] != -1 or np.count_nonzero(dlog < 0) != 1:
+            raise AssertionError("power walk does not hit every nonzero element once")
+        zech = np.empty(n, dtype=index)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            # adding 1 bumps digit 0 (which is u_i) only, wrapping p - 1 to
+            # 0 without a carry
+            plus_one = enc_pow[start:stop] + 1 - p * (u[start:stop] == p - 1).astype(index)
+            zech[start:stop] = np.take(dlog, plus_one)
+        self.enc_pow, self.dlog, self.zech = enc_pow, dlog, zech
 
     def constant_root_of_unity(self, e: int) -> int:
         """g_field^(n/e) as an integer in F_p (it lies in mu_e <= F_p^x)."""
@@ -178,46 +194,117 @@ class _FieldTables:
         return enc
 
 
+def _minimal_polynomial(field: FieldExt, g) -> tuple[int, ...]:
+    """Monic minimal polynomial of g over F_p, lowest degree first: the
+    product of t - g^(p^k) over the Frobenius orbit of g (r conjugates,
+    since a generator of F_(p^r)^x lies in no proper subfield)."""
+    zero = field.zero()
+    poly = [field.one()]
+    root = g
+    for _ in range(field.r):
+        # poly <- poly * (t - root)
+        poly = [field.sub(lower, field.mul(same, root))
+                for lower, same in zip([zero] + poly, poly + [zero])]
+        root = field.pow(root, field.p)
+    if any(any(c[1:]) for c in poly):
+        raise AssertionError("minimal polynomial has coefficients outside F_p")
+    return tuple(c[0] for c in poly)
+
+
+def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarray:
+    """u_0..u_(length-1) of the recurrence with characteristic polynomial
+    minpoly (monic, degree r) from u_0 = 1, u_1..u_(r-1) = 0, mod p.
+
+    The companion matrix T moves windows, W_(i+1) = W_i T with
+    W_i = (u_i..u_(i+r-1)), so column 0 of T^K gives
+    u_(i+K) = sum_j (T^K)_(j,0) u_(i+j) for every i.  A step with
+    K = J + r - 1 appends J terms, each a sum of r products of earlier
+    terms; J doubles (T^J squared) until it reaches _CHUNK.  The walk costs
+    O(length * r) in numpy and about log2(length) + length/_CHUNK steps.
+    Terms are stored in the smallest dtype that holds p - 1, and summed in
+    the smallest that holds r (p - 1)^2.
+    """
+    r = len(minpoly) - 1
+    u = np.zeros(length, dtype=np.min_scalar_type(p - 1))
+    u[0] = 1
+    companion = np.zeros((r, r), dtype=np.int64)
+    companion[1:, :-1] = np.eye(r - 1, dtype=np.int64)
+    companion[:, -1] = [(-c) % p for c in minpoly[:-1]]
+    lag = np.eye(r, dtype=np.int64)  # T^(r-1)
+    for _ in range(r - 1):
+        lag = lag @ companion % p
+    wide = np.min_scalar_type(r * (p - 1) ** 2)
+    step_pow, step, have = companion, 1, r  # T^J, J, terms known
+    while have < length:
+        take = min(step, length - have)
+        base = have - step - r + 1  # have - K
+        acc = np.zeros(take, dtype=wide)
+        for j, a in enumerate((lag @ step_pow[:, 0] % p).astype(wide)):
+            if a:
+                acc += a * u[base + j : base + j + take]
+        u[have : have + take] = acc % p
+        have += take
+        if step < _CHUNK:
+            step_pow, step = step_pow @ step_pow % p, 2 * step
+    return u
+
+
 @lru_cache(maxsize=64)
-def _tables(p: int, r: int, max_field_size: int) -> _FieldTables:
-    if p**r > max_field_size:
-        raise EnumerationBudgetExceeded(
-            f"F_({p}^{r}) has {p**r} elements, budget is {max_field_size}"
-        )
+def _tables(p: int, r: int) -> _FieldTables:
     return _FieldTables(p, r)
 
 
+def _check_budget(spec, r: int, max_field_size: int) -> None:
+    """Refuse to enumerate F_(p^r) for a spec over F_p beyond the budget.
+    Every public entry point checks once, before any table or histogram is
+    looked up, so the caches are keyed on the field alone."""
+    if isinstance(spec, (AffineBase, KummerCover)) and spec.p**r > max_field_size:
+        p = spec.p
+        raise EnumerationBudgetExceeded(
+            f"F_({p}^{r}) has {p**r} elements, budget is {max_field_size}"
+        )
+
+
 @lru_cache(maxsize=256)
-def _value_log_histogram(
-    p: int, r: int, f: tuple[int, ...], max_field_size: int
-) -> tuple[tuple[int, ...], int]:
+def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Histogram over c in Z/(p-1) of #{x in F_(p^r) : dlog(f(x)) = c mod p-1},
-    plus the number of zeros of f.  Exhaustive over all p^r elements."""
-    t = _tables(p, r, max_field_size)
-    coeffs = [c % p for c in f]
+    plus the number of zeros of f.  Exhaustive over all p^r elements.
+
+    f is evaluated at every x = g^i by Horner's rule on logs: multiplying
+    by x adds i, and adding a nonzero constant c (log l) maps a nonzero
+    log a to l + zech[a - l mod n].  Logs are reduced mod n only to index
+    zech, so they stay below (deg f + 2) n; a mask marks the x where the
+    partial value is 0.  Since p - 1 divides n, the final bincount needs
+    only the logs mod p - 1.
+    """
+    t = _tables(p, r)
     n = t.n
+    coeffs = [c % p for c in f]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    logs_c = [np.int64(t.dlog[c]) if c else None for c in coeffs]
     hist = np.zeros(p - 1 if p > 2 else 1, dtype=np.int64)
     zeros = 0
-    chunk = 1 << 20
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        total_digits = np.zeros((t.r, idx.size), dtype=np.int64)
-        if coeffs and coeffs[0]:
-            total_digits[0] += coeffs[0]
-        for k in range(1, len(coeffs)):
-            if coeffs[k]:
-                # x^k for x = g^i is just g^(k i): a table lookup
-                enc_k = t.enc_pow[(k * idx) % n]
-                for row in range(t.r):
-                    total_digits[row] += coeffs[k] * (enc_k % p)
-                    enc_k = enc_k // p
-        total_digits %= p
-        p_pows = np.array([p**i for i in range(t.r)], dtype=np.int64)
-        enc_f = p_pows @ total_digits
-        logs = t.dlog[enc_f]
-        valid = logs >= 0
-        zeros += int(idx.size - valid.sum())
-        hist += np.bincount(logs[valid] % (p - 1), minlength=p - 1)
+    for start in range(0, n, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+        acc = np.full(i.size, logs_c[-1], dtype=np.int64)
+        zero = None  # where the partial value is 0, if anywhere
+        for lc in reversed(logs_c[:-1]):
+            acc += i
+            if lc is None:
+                continue
+            z = np.take(t.zech, (acc - lc) % n)
+            acc = z + lc
+            if zero is not None:
+                acc[zero] = lc  # 0 * x + c = c
+                z[zero] = 0
+            zero = z < 0
+            if not zero.any():
+                zero = None
+        if zero is not None:
+            zeros += int(np.count_nonzero(zero))
+            acc = acc[~zero]
+        hist += np.bincount(acc % (p - 1), minlength=p - 1)
     # the element x = 0 contributes f(0) = constant term
     c0 = coeffs[0] if coeffs else 0
     if c0:
@@ -227,9 +314,9 @@ def _value_log_histogram(
     return tuple(int(x) for x in hist), zeros
 
 
-def _residue_histogram_mod(p, r, f, d, max_field_size) -> list[int]:
+def _residue_histogram_mod(p, r, f, d) -> list[int]:
     """Fold the mod-(p-1) histogram down to Z/d (d divides p-1, or d = 1)."""
-    hist, _ = _value_log_histogram(p, r, tuple(c % p for c in f), max_field_size)
+    hist, _ = _value_log_histogram(p, r, tuple(c % p for c in f))
     if d == 1:
         return [sum(hist)]
     out = [0] * d
@@ -260,14 +347,19 @@ def count_points(spec, r: int, max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> 
     """#spec(F_(p^r)) by exhaustive enumeration (table-driven)."""
     if r < 1:
         raise ValueError("degree must be >= 1")
+    _check_budget(spec, r, max_field_size)
+    return _count_points(spec, r)
+
+
+def _count_points(spec, r: int) -> int:
     if isinstance(spec, SpecBase):
         return 1
     if isinstance(spec, AffineBase):
-        _, zeros = _value_log_histogram(spec.p, r, tuple(c % spec.p for c in spec.f), max_field_size)
+        _, zeros = _value_log_histogram(spec.p, r, tuple(c % spec.p for c in spec.f))
         return spec.p**r - zeros
     if isinstance(spec, KummerCover):
         # y^d = u has d solutions when dlog(u) = 0 mod d, else none
-        res = _residue_histogram_mod(spec.p, r, spec.f, spec.d, max_field_size)
+        res = _residue_histogram_mod(spec.p, r, spec.f, spec.d)
         return spec.d * res[0]
     raise TypeError(f"unsupported spec {spec!r}")
 
@@ -390,7 +482,8 @@ def zeta_series(spec, order: int, level: int = 1,
     """exp(sum_r #spec(F_(q^r)) t^r / r) to the given order, exact."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    counts = [count_points(spec, r, max_field_size) for r in range(1, order + 1)]
+    _check_budget(spec, order, max_field_size)
+    counts = [_count_points(spec, r) for r in range(1, order + 1)]
     return TruncatedLSeries.from_log_sums(level, counts)
 
 
@@ -400,12 +493,13 @@ def l_series_kummer(cover: KummerCover, a: int, order: int,
     at level d."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    _check_budget(cover, order, max_field_size)
     p, d = cover.p, cover.d
     g_p = cover.generator
     sums = []
     for r in range(1, order + 1):
-        t = _tables(p, r, max_field_size)
-        res = _residue_histogram_mod(p, r, cover.f, d, max_field_size)
+        t = _tables(p, r)
+        res = _residue_histogram_mod(p, r, cover.f, d)
         u0 = _power_residue_unit(t, g_p, d)
         s_r = CyclotomicNumber.rational(d, 0)
         for c, count in enumerate(res):
@@ -439,8 +533,7 @@ def frobenius_class(cover: KummerCover, field: FieldExt, x) -> int:
     raise AssertionError("power residue is not in mu_d")
 
 
-def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int,
-                                max_field_size: int) -> list[int]:
+def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int) -> list[int]:
     """For W = Y/(subgroup of order s), bucket the points (x, z) of W over
     F_(p^r) by the s-th power residue class of the coordinate z.
 
@@ -452,8 +545,8 @@ def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int,
     p, d = cover.p, cover.d
     s = subgroup_order
     e_top = d // s  # exponent of the equation z^(e_top) = f(x)
-    t = _tables(p, r, max_field_size)
-    res = _residue_histogram_mod(p, r, cover.f, d, max_field_size)
+    t = _tables(p, r)
+    res = _residue_histogram_mod(p, r, cover.f, d)
     u0_s = _power_residue_unit(t, cover.generator, s)
     n = t.n
     buckets = [0] * max(s, 1)
@@ -480,9 +573,10 @@ def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order
     level = cover.d if level is None else level
     if level % s != 0:
         raise ValueError("level must be a multiple of the subgroup order")
+    _check_budget(cover, order, max_field_size)
     sums = []
     for r in range(1, order + 1):
-        buckets = _intermediate_class_buckets(cover, s, r, max_field_size)
+        buckets = _intermediate_class_buckets(cover, s, r)
         s_r = CyclotomicNumber.rational(level, 0)
         for cls, count in enumerate(buckets):
             if count:

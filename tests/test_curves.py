@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qlverify.curves import (
@@ -18,11 +20,14 @@ from qlverify.curves import (
     l_series_kummer,
     l_special_value_curve,
     rational_reconstruction,
+    _tables,
+    _value_log_histogram,
     verify_l_identities,
     zeta_series,
 )
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify.gf import FieldExt, default_modulus, is_irreducible
+from qlverify.numtheory import divisors
 
 
 # ---------------------------------------------------------------------------
@@ -35,15 +40,15 @@ def naive_base_count(p, f, r):
 
 
 def naive_cover_count(p, d, f, r):
+    """#{(x, y) : y^d = f(x) != 0}, with the d-th powers of every y tallied
+    once so that fields of a few thousand elements stay cheap."""
     field = FieldExt.create(p, r)
+    roots_of = Counter(field.pow(y, d) for y in field.elements())
     total = 0
     for x in field.elements():
         fx = field.eval_poly(f, x)
-        if field.is_zero(fx):
-            continue
-        for y in field.elements():
-            if field.pow(y, d) == fx:
-                total += 1
+        if not field.is_zero(fx):
+            total += roots_of[fx]
     return total
 
 
@@ -112,10 +117,16 @@ def test_count_points_matches_naive_enumeration():
         (3, 2, (0, 1)), (3, 2, (1, 1)), (3, 2, (0, 1, 0, 1)),
         (5, 4, (0, 1)), (5, 2, (1, 2, 1)), (7, 3, (1, 1)), (7, 6, (2, 0, 1)),
     ]
-    for p, d, f in cases:
-        for r in (1, 2):
-            assert count_points(AffineBase(p, f), r) == naive_base_count(p, f, r)
-            assert count_points(KummerCover(p, d, f), r) == naive_cover_count(p, d, f, r)
+    cases = [(p, d, f, (1, 2)) for p, d, f in cases]
+    cases += [(2, 1, f, range(1, 7)) for f in ((0, 1), (1, 1), (1, 1, 1), (0, 1, 1), (1, 0, 0, 1))]
+    cases += [(3, 2, (0, 1), (3, 4)), (3, 2, (2, 1, 0, 1), (3, 4)),
+              (5, 4, (1, 1), (3, 4)), (5, 2, (3, 0, 1, 1), (3, 4))]
+    # p = 131 does not fit a signed 8-bit digit
+    cases += [(131, 5, (3, 1), (1, 2)), (131, 13, (0, 7, 0, 1), (1, 2))]
+    for p, d, f, degrees in cases:
+        for r in degrees:
+            assert count_points(AffineBase(p, f), r) == naive_base_count(p, f, r), (p, f, r)
+            assert count_points(KummerCover(p, d, f), r) == naive_cover_count(p, d, f, r), (p, d, f, r)
 
 
 def test_cover_validation():
@@ -138,6 +149,69 @@ def test_quotient_cover():
 def test_budget_guard():
     with pytest.raises(EnumerationBudgetExceeded):
         count_points(AffineBase(7, (0, 1)), 12)
+
+
+def test_budget_is_not_part_of_the_cache_key():
+    _tables.cache_clear()
+    _value_log_histogram.cache_clear()
+    count_points(AffineBase(5, (1, 1)), 3, max_field_size=125)
+    count_points(AffineBase(5, (2, 1)), 3, max_field_size=DEFAULT_MAX_FIELD_SIZE)
+    zeta_series(AffineBase(5, (1, 1)), 3, max_field_size=10**6)
+    assert _tables.cache_info().misses == 3  # F_5, F_25, F_125 once each
+    assert _value_log_histogram.cache_info().misses == 4
+    with pytest.raises(EnumerationBudgetExceeded):
+        count_points(AffineBase(5, (1, 1)), 3, max_field_size=124)
+    with pytest.raises(EnumerationBudgetExceeded):
+        l_series_kummer(KummerCover(5, 2, (1, 1)), 1, 3, max_field_size=124)
+    with pytest.raises(EnumerationBudgetExceeded):
+        l_series_intermediate(KummerCover(5, 2, (1, 1)), 2, 1, 3, max_field_size=124)
+
+
+# ---------------------------------------------------------------------------
+# the log-domain engine against direct field arithmetic
+
+
+@pytest.mark.parametrize("f", [
+    (0, 1, 1),        # f(0) = 0
+    (1, 2, 1),        # (x + 1)^2, a repeated root
+    (0, 0, 1),        # x^2, a repeated root at 0
+    (1, 0, 0, 1),     # x^3 + 1, zero middle coefficients
+    (2,),             # constant
+    (2, 0, 0),        # constant with zero high coefficients
+])
+def test_count_points_special_polynomials(f):
+    for p, d in ((3, 2), (5, 4), (7, 6)):
+        for r in (1, 2, 3):
+            assert count_points(AffineBase(p, f), r) == naive_base_count(p, f, r), (p, f, r)
+            assert count_points(KummerCover(p, d, f), r) == naive_cover_count(p, d, f, r), (p, d, f, r)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2), (11, 1)])
+def test_tables_match_direct_field_arithmetic(p, r):
+    t = _tables(p, r)
+    field = t.field
+    log_of = {}
+    x = field.one()
+    for i in range(t.n):
+        log_of[x] = i
+        x = field.mul(x, t.g)
+    assert len(log_of) == t.n and x == field.one()
+    for i, x in enumerate(log_of):
+        assert t.dlog[t.enc_pow[i]] == i
+        assert t.zech[i] == log_of.get(field.add(x, field.one()), -1)
+    for c in range(1, p):
+        assert t.dlog[c] == log_of[field.from_int(c)]  # constants encode as themselves
+    assert t.dlog[0] == -1
+    assert t.enc_pow.dtype == t.dlog.dtype == t.zech.dtype == np.int32
+
+
+@pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2), (13, 2), (131, 1)])
+def test_constant_root_of_unity_has_exact_order(p, r):
+    t = _tables(p, r)
+    for e in divisors(p - 1):
+        w = t.constant_root_of_unity(e)
+        assert 0 < w < p
+        assert min(k for k in range(1, e + 1) if pow(w, k, p) == 1) == e
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +418,6 @@ def test_intermediate_buckets_match_naive_enumeration():
         for s in [t for t in range(1, d + 1) if d % t == 0]:
             for r in (1, 2):
                 assert (
-                    _intermediate_class_buckets(cover, s, r, DEFAULT_MAX_FIELD_SIZE)
+                    _intermediate_class_buckets(cover, s, r)
                     == naive_intermediate_buckets(cover, s, r)
                 )

@@ -77,12 +77,14 @@ def test_cli_usage_error_exit_2():
     assert "usage error" in err
     code, _, _ = run_cli(["nonsense"])
     assert code == 2
-    for empty_matrix in (
+    for bad in (
         ["ffqlc", "--m-max", "-1"],
         ["ffqlc", "--k-max", "0"],
         ["dirichlet", "--N-max", "0"],
+        ["curves", "--spec", "[1,2]"],
+        ["dirichlet", "--field", '{"modulus":0,"subgroup":[0]}'],
     ):
-        code, out, err = run_cli(empty_matrix)
+        code, out, err = run_cli(bad)
         assert code == 2
         assert "usage error" in err and out == ""
 

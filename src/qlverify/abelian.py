@@ -448,6 +448,10 @@ class PresentedAbelianGroup:
     def contains_in_relations(self, vec) -> bool:
         return in_column_span(self.relations, vec)
 
+    def relations_contain(self, mat: IntMatrix) -> bool:
+        """Whether every column of mat lies in the relation lattice."""
+        return all(self.contains_in_relations(col) for col in mat.columns())
+
 
 # ---------------------------------------------------------------------------
 # bounded cochain complexes
@@ -474,15 +478,11 @@ class BoundedComplex:
             src, tgt = self.terms[i], self.terms[i + 1]
             if (d.rows, d.cols) != (tgt.n_generators, src.n_generators):
                 raise ValueError(f"differential {i} has wrong shape")
-            for rel_col in src.relations.columns():
-                if not tgt.contains_in_relations(d.apply(rel_col)):
-                    raise ValueError(f"differential {i} not well defined on presentations")
+            if not tgt.relations_contain(d @ src.relations):
+                raise ValueError(f"differential {i} not well defined on presentations")
         for i in range(len(self.differentials) - 1):
-            comp = self.differentials[i + 1] @ self.differentials[i]
-            tgt = self.terms[i + 2]
-            for col in comp.columns():
-                if not tgt.contains_in_relations(col):
-                    raise ValueError(f"d^2 != 0 between degrees {self.lo + i} and {self.lo + i + 2}")
+            if not self.terms[i + 2].relations_contain(self.differentials[i + 1] @ self.differentials[i]):
+                raise ValueError(f"d^2 != 0 between degrees {self.lo + i} and {self.lo + i + 2}")
 
     @property
     def hi(self) -> int:

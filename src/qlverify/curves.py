@@ -753,6 +753,10 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
     max_deg = cover.f_degree() + 2
     for n_val in (1, 2):
         quantity = f"special_value_norm n={n_val}"
+        if B < 2 * max_deg + 2:
+            rep.add(case, quantity, "rational_reconstruction",
+                    f"order B={B} below 2*{max_deg}+2, the minimum for degree bound {max_deg}", SKIP)
+            continue
         try:
             if d == 1:
                 num, den = rational_reconstruction(L[0], max_deg)

@@ -19,6 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import FgAbelianGroup, IntMatrix, PresentedAbelianGroup
+from .gf import _trim
 from .numtheory import divisors, euler_phi
 
 
@@ -224,12 +225,12 @@ class CyclotomicNumber:
         # a nonzero constant
         m = self.level
         r0, s0 = list(cyclotomic_polynomial(m)), [0]
-        r1, s1 = _trimmed(self.num), [1]
+        r1, s1 = _trim(list(self.num)), [1]
         while len(r1) > 1:
             while len(r0) >= len(r1):
                 g = gcd(r0[-1], r1[-1])
                 lead, c, shift = r1[-1] // g, r0[-1] // g, len(r0) - len(r1)
-                r0 = _trimmed(_scaled_sub(r0, lead, c, r1, shift))
+                r0 = _trim(_scaled_sub(r0, lead, c, r1, shift))
                 s0 = _scaled_sub(s0, lead, c, s1, shift)
             g = gcd(*r0, *s0)
             r0, r1 = r1, [x // g for x in r0]
@@ -366,11 +367,4 @@ def _scaled_sub(a, lead, c, b, shift):
     out += [0] * (len(b) + shift - len(out))
     for j, y in enumerate(b, shift):
         out[j] -= c * y
-    return out
-
-
-def _trimmed(coeffs):
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
     return out

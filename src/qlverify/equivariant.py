@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Mapping
 
 from .abelian import (
@@ -34,9 +34,27 @@ class CyclicMackeyData:
 
     ext[(d_big, d_small)] is an integer matrix on generators mapping
     value(d_big) into value(d_small), for every pair d_small | d_big.  The
-    pair (d, d) may be omitted and defaults to the identity.  Construction
-    checks well-definedness on presentations and functoriality of
-    compositions, both modulo target relations.
+    pair (d, d) may be omitted and defaults to the identity; an explicit
+    one must induce the identity on value(d).
+
+    Construction checks shapes on every pair, but well-definedness
+    (relations go to relations) only on the one-prime steps a -> a/p, and
+    functoriality ext(a, c) == ext(a/p, c) ext(a, a/p) only for c a proper
+    divisor of a/p, where == means equal modulo the relations of value(c).
+    Both properties then hold everywhere, by induction on the number of
+    prime factors of a/c:
+
+    - ext(a, c) with c != a is well defined: pick p with c | a/p.  It
+      differs by a map into the relations of value(c) from the composite
+      of ext(a, a/p) (checked) and ext(a/p, c) (induction).
+    - ext(a, c) == ext(b, c) ext(a, b) for c | b | a: if b == a or c == b
+      this is ext(d, d) == id.  Otherwise pick p with b | a/p; then
+          ext(a, c) == ext(a/p, c) ext(a, a/p)
+                    == ext(b, c) ext(a/p, b) ext(a, a/p)   (induction)
+                    == ext(b, c) ext(a, b),
+      the last step being the checked triple (a, a/p, b) pushed through the
+      well-defined ext(b, c).  The triples (a, a/p, a/p) are instances of
+      ext(d, d) == id, so they are not checked either.
     """
 
     m: int
@@ -48,38 +66,53 @@ class CyclicMackeyData:
         if sorted(self.value.keys()) != divs:
             raise ValueError("need exactly one value per divisor of m")
         full = dict(self.ext)
-        for d in divs:
-            full.setdefault((d, d), IntMatrix.identity(self.value[d].n_generators))
         for big in divs:
-            for small in divs:
-                if big % small != 0:
-                    continue
-                mat = full.get((big, small))
+            src = self.value[big]
+            identity = IntMatrix.identity(src.n_generators)
+            for small in divisors(big):
+                mat = full.setdefault((big, small), identity if small == big else None)
                 if mat is None:
                     raise ValueError(f"missing restriction {big} -> {small}")
-                src, tgt = self.value[big], self.value[small]
-                if (mat.rows, mat.cols) != (tgt.n_generators, src.n_generators):
+                if (mat.rows, mat.cols) != (self.value[small].n_generators, src.n_generators):
                     raise ValueError(f"restriction {big} -> {small} has wrong shape")
-                for col in src.relations.columns():
-                    if not tgt.contains_in_relations(mat.apply(col)):
-                        raise ValueError(f"restriction {big} -> {small} not well defined")
+            if (big, big) in self.ext and not src.relations_contain(self.ext[(big, big)] + (-identity)):
+                raise ValueError(f"restriction {big} -> {big} is not the identity")
         for a in divs:
-            for b in divs:
-                for c in divs:
-                    if a % b == 0 and b % c == 0:
-                        direct = full[(a, c)]
-                        composite = full[(b, c)] @ full[(a, b)]
-                        diff = direct + (-composite)
-                        tgt = self.value[c]
-                        for col in diff.columns():
-                            if not tgt.contains_in_relations(col):
-                                raise ValueError(
-                                    f"restrictions not functorial along {a} -> {b} -> {c}"
-                                )
+            for p in factorize(a).primes:
+                b = a // p
+                step = full[(a, b)]
+                if not self.value[b].relations_contain(step @ self.value[a].relations):
+                    raise ValueError(f"restriction {a} -> {b} not well defined")
+                for c in divisors(b)[:-1]:
+                    if not self.value[c].relations_contain(full[(a, c)] + (-(full[(b, c)] @ step))):
+                        raise ValueError(f"restrictions not functorial along {a} -> {b} -> {c}")
         object.__setattr__(self, "ext", full)
 
     def restriction(self, d_big: int, d_small: int) -> IntMatrix:
         return self.ext[(d_big, d_small)]
+
+
+def cyclic_subgroup_mackey(m: int, orders: Mapping[int, int]) -> CyclicMackeyData:
+    """Cyclic Mackey data: value(d) = Z/orders[d], restrictions inclusions.
+
+    Every value is presented on one generator, and the restriction from big
+    to small | big is multiplication by orders[small] // orders[big], the
+    inclusion of Z/orders[big] into Z/orders[small]; so orders[big] must
+    divide orders[small].  The K_1 groups of the subfields of F_64/F_2:
+
+    >>> M = cyclic_subgroup_mackey(6, {d: 2 ** (6 // d) - 1 for d in (1, 2, 3, 6)})
+    >>> M.restriction(3, 1).data
+    ((21,),)
+    """
+    ext = {}
+    for big in orders:
+        for small in orders:
+            if big % small == 0 and big != small:
+                if orders[big] < 1 or orders[small] % orders[big]:
+                    raise ValueError(f"order {orders[big]} at level {big} does not divide "
+                                     f"order {orders[small]} at level {small}")
+                ext[(big, small)] = IntMatrix.from_rows([[orders[small] // orders[big]]])
+    return CyclicMackeyData(m, {d: PresentedAbelianGroup.cyclic(n) for d, n in orders.items()}, ext)
 
 
 def _cech_complex(labels, term_of, map_between) -> BoundedComplex:
@@ -92,31 +125,22 @@ def _cech_complex(labels, term_of, map_between) -> BoundedComplex:
     """
     labels = tuple(sorted(labels))
     n = len(labels)
-    by_degree = []
-    subsets_by_size = []
-    for size in range(n, -1, -1):
-        subsets = list(itertools.combinations(labels, size))
-        subsets_by_size.append(subsets)
-        by_degree.append([term_of(S) for S in subsets])
+    subsets_by_size = [list(itertools.combinations(labels, size)) for size in range(n, -1, -1)]
+    by_degree = [[term_of(S) for S in subsets] for subsets in subsets_by_size]
     terms = tuple(PresentedAbelianGroup.direct_sum(*groups) if len(groups) > 1 else groups[0]
                   for groups in by_degree)
     diffs = []
-    for idx in range(n):
-        sources = subsets_by_size[idx]       # size n - idx
-        targets = subsets_by_size[idx + 1]   # size n - idx - 1
+    for sources, targets in zip(subsets_by_size, subsets_by_size[1:]):
         grid = []
         for T in targets:
             row = []
             for S in sources:
-                tgt_g = term_of(T)
-                src_g = term_of(S)
-                if set(T) <= set(S) and len(S) == len(T) + 1:
-                    dropped = next(x for x in S if x not in T)
-                    j = S.index(dropped) + 1
+                if set(T) <= set(S):
+                    j = next(i for i, x in enumerate(S, 1) if x not in T)
                     block = map_between(S, T)
                     row.append(block if j % 2 == 0 else -block)
                 else:
-                    row.append(IntMatrix.zero(tgt_g.n_generators, src_g.n_generators))
+                    row.append(IntMatrix.zero(term_of(T).n_generators, term_of(S).n_generators))
             grid.append(row)
         diffs.append(IntMatrix.assemble(grid))
     return BoundedComplex(-n, terms, tuple(diffs))
@@ -149,12 +173,9 @@ def h0_fixed_point_oracle(M: CyclicMackeyData) -> FgAbelianGroup:
     """Closed form for H^0: value(1) modulo the images of all prime-level
     restrictions, computed as a single cokernel."""
     bottom = M.value[1]
-    pieces = [bottom.relations]
+    stacked = bottom.relations
     for p in factorize(M.m).primes:
-        pieces.append(M.restriction(p, 1))
-    stacked = pieces[0]
-    for extra in pieces[1:]:
-        stacked = stacked.hstack(extra)
+        stacked = stacked.hstack(M.restriction(p, 1))
     return PresentedAbelianGroup(bottom.n_generators, stacked).normal_form()
 
 
@@ -171,15 +192,9 @@ def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:
         raise ValueError(f"{u} is not a unit mod {mod}")
     if pow(u, m, mod) != 1:
         raise ValueError(f"u^m != 1 (ord(u) = {multiplicative_order(u, mod)} does not divide {m})")
-    orders = {d: gcd(pow(u, m // d, mod) - 1, mod) if mod > 1 else 1 for d in divisors(m)}
-    value = {d: PresentedAbelianGroup.cyclic(orders[d]) for d in orders}
-    ext = {}
-    for big in divisors(m):
-        for small in divisors(m):
-            if big % small == 0 and big != small:
-                # generator mod/orders[big] = (orders[small]/orders[big]) * mod/orders[small]
-                ext[(big, small)] = IntMatrix.from_rows([[orders[small] // orders[big]]])
-    return CyclicMackeyData(m, value, ext)
+    return cyclic_subgroup_mackey(
+        m, {d: gcd(pow(u, m // d, mod) - 1, mod) if mod > 1 else 1 for d in divisors(m)}
+    )
 
 
 def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:
@@ -194,15 +209,9 @@ def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:
         raise ValueError("modulus must be positive")
     ds = [gcd(int(g), mod) for g in subgroup_gens]
 
-    def lcm_of(vals):
-        out = 1
-        for v in vals:
-            out = out * v // gcd(out, v)
-        return out
-
     def gen_of(S) -> int:
         # intersection of the subgroups indexed by S is generated by the lcm
-        return lcm_of([ds[i] for i in S]) if S else 1
+        return lcm(*(ds[i] for i in S))
 
     def term_of(S):
         return PresentedAbelianGroup.cyclic(mod // gen_of(S))
@@ -216,7 +225,4 @@ def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:
 def cech_h0_oracle(mod: int, subgroup_gens) -> FgAbelianGroup:
     """Z/mod modulo the join of the given subgroups: cyclic of order
     gcd(mod, g_1, ..., g_k)."""
-    g = mod
-    for x in subgroup_gens:
-        g = gcd(g, int(x))
-    return FgAbelianGroup.cyclic(g)
+    return FgAbelianGroup.cyclic(gcd(mod, *(int(x) for x in subgroup_gens)))

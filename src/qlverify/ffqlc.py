@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .abelian import FgAbelianGroup, IntMatrix, PresentedAbelianGroup
+from .abelian import FgAbelianGroup
 from .cyclotomic import CyclotomicNumber, quotient_by_principal
-from .equivariant import CyclicMackeyData, bredon_cohomology
+from .equivariant import CyclicMackeyData, bredon_cohomology, cyclic_subgroup_mackey
 from .numtheory import divisors, factorize, prime_power_decomposition, squarefree_subsets
 from .report import PASS, SKIP, VerificationReport, fmt_rational
 
@@ -96,14 +96,7 @@ def k_mackey_finite_field(q: int, m: int, t: int) -> CyclicMackeyData:
     if t < 1 or t % 2 == 0:
         raise ValueError("odd positive degree required (even K-groups vanish)")
     n = (t + 1) // 2
-    orders = {d: q ** (n * m // d) - 1 for d in divisors(m)}
-    value = {d: PresentedAbelianGroup.cyclic(orders[d]) for d in orders}
-    ext = {}
-    for big in divisors(m):
-        for small in divisors(m):
-            if big % small == 0 and big != small:
-                ext[(big, small)] = IntMatrix.from_rows([[orders[small] // orders[big]]])
-    return CyclicMackeyData(m, value, ext)
+    return cyclic_subgroup_mackey(m, {d: q ** (n * m // d) - 1 for d in divisors(m)})
 
 
 def artin_l_value_ff(q: int, chi: CyclicCharacter, k: int) -> CyclotomicNumber:
@@ -172,13 +165,7 @@ def _bredon_pi_odd(q: int, m_eff: int, t: int) -> FgAbelianGroup:
 def gcd_order_closed_form(q: int, m_eff: int, k: int) -> int:
     """gcd(q^(k m') - 1, (q^(k m') - 1)/(q^(k m'/p) - 1) for p | m')."""
     big = q ** (k * m_eff) - 1
-    vals = [big]
-    for p in factorize(m_eff).primes:
-        vals.append(big // (q ** (k * m_eff // p) - 1))
-    out = 0
-    for v in vals:
-        out = gcd(out, v)
-    return out
+    return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in factorize(m_eff).primes))
 
 
 def verify_main_theorem_ff(q: int, m: int, chi: CyclicCharacter, k: int) -> VerificationReport:

@@ -106,6 +106,22 @@ def test_snf_diagonal_product_is_det():
         assert diag_prod == abs(fraction_det(M))
 
 
+def test_snf_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(23)
+    for _ in range(150):
+        n, m, inner = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        # a product through inner < min(n, m) columns has deficient rank
+        A = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(inner)] for _ in range(n)])
+        B = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(m)] for _ in range(inner)])
+        M = A @ B
+        _, D, _ = smith_normal_form(M)
+        expected = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
+        assert [D.data[i][i] for i in range(min(n, m))] == [int(f) for f in expected]
+
+
 def test_solve_and_kernel():
     M = IntMatrix.from_rows([[2, 4], [0, 3]])
     x = solve_integer(M, (6, 3))

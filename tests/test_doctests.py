@@ -5,12 +5,14 @@ import pytest
 import qlverify.abelian
 import qlverify.cyclotomic
 import qlverify.dirichlet
+import qlverify.equivariant
 import qlverify.numtheory
 
 
 @pytest.mark.parametrize(
     "module",
-    [qlverify.numtheory, qlverify.abelian, qlverify.cyclotomic, qlverify.dirichlet],
+    [qlverify.numtheory, qlverify.abelian, qlverify.cyclotomic, qlverify.dirichlet,
+     qlverify.equivariant],
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

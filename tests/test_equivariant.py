@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -17,10 +17,13 @@ from qlverify.equivariant import (
     cech_h0_oracle,
     cyclic_cech_complex,
     cyclic_fixed_point_mackey,
+    cyclic_subgroup_mackey,
     h0_fixed_point_oracle,
     moore_cochain_complex,
 )
-from qlverify.numtheory import factorize, multiplicative_order
+from qlverify.numtheory import divisors, factorize, multiplicative_order
+
+from genrandom import random_unimodular_pair
 
 
 def cyclic_mackey(m, orders, multipliers):
@@ -62,6 +65,115 @@ def test_mackey_rejects_non_functorial_restrictions():
 def test_identity_restrictions_default():
     M = cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1})
     assert M.restriction(1, 1).data == ((1,),)
+
+
+def test_mackey_rejects_non_identity_self_restriction():
+    with pytest.raises(ValueError):
+        cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1, (2, 2): 2})
+    M = cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1, (2, 2): 6})  # 6 acts as 1 on Z/5
+    assert M.restriction(2, 2).data == ((6,),)
+
+
+def test_cyclic_subgroup_mackey_values_and_restrictions():
+    M = cyclic_subgroup_mackey(4, {1: 12, 2: 6, 4: 2})
+    assert [M.value[d].normal_form() for d in (1, 2, 4)] == [
+        FgAbelianGroup.cyclic(n) for n in (12, 6, 2)]
+    assert [M.restriction(*pair).data for pair in ((2, 1), (4, 2), (4, 1), (4, 4))] == [
+        ((2,),), ((3,),), ((6,),), ((1,),)]
+
+
+def test_cyclic_subgroup_mackey_rejects_non_dividing_orders():
+    with pytest.raises(ValueError):
+        cyclic_subgroup_mackey(2, {1: 3, 2: 2})
+    with pytest.raises(ValueError):
+        cyclic_subgroup_mackey(6, {1: 12, 2: 4, 3: 6, 6: 4})  # 4 does not divide 6
+    with pytest.raises(ValueError):
+        cyclic_subgroup_mackey(2, {1: 0, 2: 0})
+    with pytest.raises(ValueError):
+        cyclic_subgroup_mackey(4, {1: 4, 4: 2})  # level 2 missing
+
+
+def brute_force_mackey_ok(m, value, ext):
+    """The definition, checked everywhere: with ext(d, d) = id, every
+    restriction carries relations into relations, and ext(a, c) equals
+    ext(b, c) ext(a, b) modulo the relations of value(c) for every c | b | a."""
+    divs = divisors(m)
+    full = dict(ext)
+    for d in divs:
+        full.setdefault((d, d), IntMatrix.identity(value[d].n_generators))
+    for big in divs:
+        for small in divs:
+            if big % small == 0:
+                for col in value[big].relations.columns():
+                    if not value[small].contains_in_relations(full[(big, small)].apply(col)):
+                        return False
+    for a in divs:
+        for b in divs:
+            for c in divs:
+                if a % b == 0 and b % c == 0:
+                    diff = full[(a, c)] + (-(full[(b, c)] @ full[(a, b)]))
+                    if not all(value[c].contains_in_relations(col) for col in diff.columns()):
+                        return False
+    return True
+
+
+def random_subgroup_orders(rng, m):
+    """orders[d] = product of r_e over the multiples e of d, so that
+    orders[big] divides orders[small] whenever small | big."""
+    r = {e: rng.choice([1, 1, 2, 3, 4, 5]) for e in divisors(m)}
+    return {d: prod(r[e] for e in r if e % d == 0) for d in r}
+
+
+def disguised_sum(rng, m, first, second):
+    """Direct sum of two Mackey data, level by level and block-diagonally,
+    with every level's generators scrambled by a unimodular change."""
+    q = {d: random_unimodular_pair(rng, 2) for d in divisors(m)}
+    value = {d: PresentedAbelianGroup(2, q[d][0] @ first.value[d].direct_sum(second.value[d]).relations)
+             for d in q}
+    ext = {
+        (big, small): q[small][0] @ IntMatrix.block_diagonal(
+            [first.restriction(big, small), second.restriction(big, small)]) @ q[big][1]
+        for big in q for small in q if big % small == 0 and big != small
+    }
+    return value, ext
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 12, 30, 36, 60])
+def test_lean_validation_matches_brute_force_oracle(m):
+    rng = random.Random(m)
+    rejected = accepted = 0
+    for trial in range(6):
+        first = cyclic_subgroup_mackey(m, random_subgroup_orders(rng, m))
+        if trial % 2 == 0:
+            value = first.value
+            ext = {pair: mat for pair, mat in first.ext.items() if pair[0] != pair[1]}
+        else:
+            second = cyclic_subgroup_mackey(m, random_subgroup_orders(rng, m))
+            value, ext = disguised_sum(rng, m, first, second)
+        assert brute_force_mackey_ok(m, value, ext)
+        CyclicMackeyData(m, value, ext)
+        # corrupt one entry, always including the longest pair (m, 1),
+        # which is not a one-prime step once m has two prime factors
+        pairs = sorted(ext)
+        for pair in [(m, 1)] * (m > 1) + rng.sample(pairs, min(3, len(pairs))):
+            mat = ext[pair]
+            i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+            delta = rng.choice([-2, -1, 1, 2, value[pair[1]].normal_form().order()])
+            rows = [list(row) for row in mat.data]
+            rows[i][j] += delta
+            bad = dict(ext)
+            bad[pair] = IntMatrix.from_rows(rows, mat.cols)
+            expected_ok = brute_force_mackey_ok(m, value, bad)
+            try:
+                CyclicMackeyData(m, value, bad)
+                lean_ok = True
+            except ValueError:
+                lean_ok = False
+            assert lean_ok == expected_ok, (m, pair, delta)
+            rejected += not expected_ok
+            accepted += expected_ok
+    if m > 1:
+        assert rejected and accepted
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,18 @@ def test_cli_curves_inline_spec():
     assert "zeta_factorization" in out
 
 
+def test_cli_curves_order_too_small_skips_only_special_values():
+    # order 2 is below the reconstruction bound 2*3 + 2 of f = x: the two
+    # special-value records are SKIP, the seven series identities still PASS
+    code, out, _ = run_cli([
+        "curves", "--order", "2", "--spec", '{"p":3,"d":2,"f":[0,1]}',
+    ])
+    assert code == 0
+    assert out.splitlines()[-1] == "# summary\tPASS=7\tFAIL=0\tPREDICTION=0\tSKIP=2"
+    skips = [line for line in out.splitlines() if line.endswith("\tSKIP")]
+    assert all("special_value_norm" in line and "order B=2" in line for line in skips)
+
+
 def test_cli_exit_1_on_failure(monkeypatch):
     failing = VerificationReport()
     failing.add("c", "q", "p", "bad", FAIL)

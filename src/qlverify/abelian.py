@@ -6,6 +6,13 @@ the relators).  Smith normal form over Z does all the work: normal forms,
 kernels, cokernels, and the cohomology of bounded cochain complexes of
 presented groups.
 
+One Smith reduction per lattice: `_solve` reduces a matrix once and reads
+off both an integer solution for a whole block of target columns and a
+basis of the kernel.  solve_integer, integer_kernel, relations_contain and
+cohomology all go through it, so no lattice is reduced once per column.
+The one shortcut: membership in a one-generator presentation is
+divisibility by the gcd of its relation row.
+
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
 elementary row/column operations with least-absolute-value pivoting is
@@ -17,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .numtheory import factorize
 
@@ -55,11 +62,6 @@ class IntMatrix:
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    @classmethod
-    def column(cls, entries) -> "IntMatrix":
-        entries = [int(x) for x in entries]
-        return cls(len(entries), 1, tuple((x,) for x in entries))
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -88,9 +90,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.data))
 
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix sum")
@@ -105,9 +104,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
 
     @staticmethod
     def block_diagonal(blocks) -> "IntMatrix":
@@ -239,73 +235,31 @@ class NoIntegerSolution(Exception):
     """Raised when an integer linear system A x = b has no solution."""
 
 
+def _solve(M: IntMatrix, B: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
+    """One Smith reduction of M, two answers: an integer X with M X = B
+    (None when some column of B has no integer preimage) and a basis of
+    ker(M: Z^cols -> Z^rows) as matrix columns."""
+    U, D, V = smith_normal_form(M)
+    # the nonzero diagonal entries of D come first
+    diag = [D.data[i][i] for i in range(min(M.rows, M.cols))]
+    rank = sum(1 for d in diag if d)
+    kernel = IntMatrix(M.cols, M.cols - rank, tuple(row[rank:] for row in V.data))
+    C = (U @ B).data
+    if any(any(row) for row in C[rank:]) or any(x % diag[i] for i in range(rank) for x in C[i]):
+        return None, kernel
+    Y = tuple(tuple(x // diag[i] for x in C[i]) for i in range(rank))
+    Y += ((0,) * B.cols,) * (M.cols - rank)
+    return V @ IntMatrix(M.cols, B.cols, Y), kernel
+
+
 def solve_integer(M, target) -> tuple[int, ...]:
     """One integer solution x of M x = target, or raise NoIntegerSolution."""
     M = _coerce(M)
-    target = tuple(int(x) for x in target)
-    if len(target) != M.rows:
-        raise ValueError("target length mismatch")
-    if M.cols == 0:
-        if any(target):
-            raise NoIntegerSolution
-        return ()
-    if M.rows == 1:
-        # single equation: solvable iff gcd of the row divides the target
-        row = M.data[0]
-        g, coeffs = _extended_gcd_vector(row)
-        if g == 0:
-            if target[0] != 0:
-                raise NoIntegerSolution
-            return (0,) * M.cols
-        if target[0] % g != 0:
-            raise NoIntegerSolution
-        q = target[0] // g
-        return tuple(q * c for c in coeffs)
-    U, D, V = smith_normal_form(M)
-    b = U.apply(target)
-    y = [0] * M.cols
-    for i in range(M.rows):
-        d = D.data[i][i] if i < min(M.rows, M.cols) else 0
-        if d != 0:
-            if b[i] % d != 0:
-                raise NoIntegerSolution
-            y[i] = b[i] // d
-        elif b[i] != 0:
-            raise NoIntegerSolution
-    return V.apply(y)
-
-
-def _extended_gcd_vector(row) -> tuple[int, tuple[int, ...]]:
-    """(g, coeffs) with sum coeffs[i] * row[i] = g = gcd(row)."""
-    g = 0
-    coeffs = [0] * len(row)
-    for i, a in enumerate(row):
-        if a == 0:
-            continue
-        if g == 0:
-            g, coeffs = abs(a), [0] * len(row)
-            coeffs[i] = 1 if a > 0 else -1
-            continue
-        old_g = g
-        x, y, g = _bezout(old_g, a)
-        coeffs = [x * c for c in coeffs]
-        coeffs[i] += y
-    return g, tuple(coeffs)
-
-
-def _bezout(a, b) -> tuple[int, int, int]:
-    """(x, y, g) with a x + b y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_s, old_t, old_r
+    # a target of the wrong length fails the shape check of IntMatrix
+    X, _ = _solve(M, IntMatrix(M.rows, 1, tuple((int(x),) for x in target)))
+    if X is None:
+        raise NoIntegerSolution
+    return X.col(0)
 
 
 def in_column_span(M, target) -> bool:
@@ -319,14 +273,7 @@ def in_column_span(M, target) -> bool:
 def integer_kernel(M) -> IntMatrix:
     """Basis of the lattice ker(M: Z^cols -> Z^rows), as matrix columns."""
     M = _coerce(M)
-    _, D, V = smith_normal_form(M)
-    rank = sum(
-        1 for i in range(min(M.rows, M.cols)) if D.data[i][i] != 0
-    )
-    basis_cols = [V.col(j) for j in range(rank, M.cols)]
-    return IntMatrix.from_rows(
-        [[c[i] for c in basis_cols] for i in range(M.cols)], len(basis_cols)
-    )
+    return _solve(M, IntMatrix.zero(M.rows, 0))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +392,12 @@ class PresentedAbelianGroup:
             IntMatrix.block_diagonal([g.relations for g in groups]),
         )
 
-    def contains_in_relations(self, vec) -> bool:
-        return in_column_span(self.relations, vec)
-
     def relations_contain(self, mat: IntMatrix) -> bool:
         """Whether every column of mat lies in the relation lattice."""
-        return all(self.contains_in_relations(col) for col in mat.columns())
+        if self.n_generators == 1:
+            g = gcd(*self.relations.data[0])
+            return all(x % g == 0 if g else x == 0 for x in mat.data[0])
+        return _solve(self.relations, mat)[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +444,6 @@ class BoundedComplex:
             raise ValueError(f"degree {i} outside [{self.lo}, {self.hi}]")
         return self.terms[i - self.lo]
 
-    def differential(self, i: int) -> IntMatrix:
-        """d^i: term(i) -> term(i+1); zero map if i+1 is out of range."""
-        if self.lo <= i <= self.hi - 1:
-            return self.differentials[i - self.lo]
-        tgt_gens = self.term(i + 1).n_generators if self.lo <= i + 1 <= self.hi else 0
-        src_gens = self.term(i).n_generators if self.lo <= i <= self.hi else 0
-        return IntMatrix.zero(tgt_gens, src_gens)
-
 
 def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     """H^i(C) = ker(d^i) / im(d^{i-1}), computed in the quotient groups."""
@@ -512,25 +451,18 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     # kernel of the induced map: x with d^i(x) in the relation span of the target
     if i < C.hi:
         d = C.differentials[i - C.lo]
-        tgt_rel = C.term(i + 1).relations
-        big = d.hstack(tgt_rel)
-        ker = integer_kernel(big)
-        gens = IntMatrix.from_rows(
-            [ker.data[r] for r in range(src.n_generators)], ker.cols
-        )
+        ker = integer_kernel(d.hstack(C.term(i + 1).relations))
+        gens = IntMatrix(src.n_generators, ker.cols, ker.data[:src.n_generators])
     else:
         gens = IntMatrix.identity(src.n_generators)
-    # express image of d^{i-1} plus source relations in terms of the kernel generators
-    image_cols = list(src.relations.columns())
+    # image of d^{i-1} plus source relations, in terms of the kernel generators
+    image = src.relations
     if i > C.lo:
-        image_cols.extend(C.differentials[i - 1 - C.lo].columns())
-    relation_cols = [c for c in integer_kernel(gens).columns()]
-    for col in image_cols:
-        relation_cols.append(solve_integer(gens, col))
-    rel = IntMatrix.from_rows(
-        [[c[r] for c in relation_cols] for r in range(gens.cols)], len(relation_cols)
-    )
-    return PresentedAbelianGroup(gens.cols, rel).normal_form()
+        image = image.hstack(C.differentials[i - 1 - C.lo])
+    X, gens_kernel = _solve(gens, image)
+    if X is None:
+        raise NoIntegerSolution
+    return PresentedAbelianGroup(gens.cols, gens_kernel.hstack(X)).normal_form()
 
 
 def euler_number(C: BoundedComplex) -> Fraction:

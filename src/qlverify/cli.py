@@ -2,7 +2,9 @@
 deterministic TSV or JSON reports.
 
 Exit codes: 0 when nothing failed, 1 when any check failed, 2 on usage
-errors, including a parameter matrix that yields no records.  Output is byte-identical across runs with the same flags.
+errors, including a parameter matrix that yields no PASS, FAIL or SKIP
+record (no records at all, or only PREDICTION records).  Output is
+byte-identical across runs with the same flags.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .dirichlet import (
 )
 from .ffqlc import CyclicCharacter, InducedRepFF, verify_induced_ff, verify_main_theorem_ff
 from .numtheory import prime_power_decomposition
-from .report import VerificationReport
+from .report import PREDICTION, VerificationReport
 
 
 def run_ffqlc(q_list, m_max: int, k_max: int) -> VerificationReport:
@@ -174,8 +176,8 @@ def main(argv=None) -> int:
             report = run_dirichlet(args.N_max, args.n_max, fields)
     except (ValueError, OSError, KeyError) as exc:
         parser.exit(2, f"usage error: {exc!r}\n")
-    if not report.records:
-        parser.exit(2, "usage error: the parameter matrix yields no records\n")
+    if all(r.status == PREDICTION for r in report.records):
+        parser.exit(2, "usage error: the parameter matrix yields no checks\n")
     text = report.to_json() if args.format == "json" else report.to_tsv()
     if args.out:
         with open(args.out, "w") as fh:

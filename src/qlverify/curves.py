@@ -459,11 +459,6 @@ class TruncatedLSeries:
             self.level, self.order, tuple(c.galois_conjugate(j) for c in self.coeffs)
         )
 
-    def raise_level(self, level: int) -> "TruncatedLSeries":
-        return TruncatedLSeries(
-            level, self.order, tuple(c.raise_level(level) for c in self.coeffs)
-        )
-
     @property
     def is_rational(self) -> bool:
         return all(c.is_rational for c in self.coeffs)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Mapping
 
@@ -146,12 +147,17 @@ def _cech_complex(labels, term_of, map_between) -> BoundedComplex:
     return BoundedComplex(-n, terms, tuple(diffs))
 
 
+@lru_cache(maxsize=1)
 def moore_cochain_complex(M: CyclicMackeyData) -> BoundedComplex:
     """Cellular cochain complex of the Moore object, degrees -l..0.
 
     l is the number of distinct primes of m; the subset S of primes
     contributes value(prod(S)) in degree -|S|, and the differentials are
     alternating sums of restrictions.
+
+    The last complex is kept, so asking bredon_cohomology for every degree
+    of one datum builds and validates it once.  Mackey data are frozen and
+    compare by identity, so the cache key is the datum itself.
     """
     primes = factorize(M.m).primes
     return _cech_complex(

@@ -289,3 +289,11 @@ def test_subgroup_inputs_validated():
         verify_order_identity(10, {1, 5}, 2)  # 5 is not a unit mod 10
     with pytest.raises(ValueError):
         verify_norm_identity_numberfield(5, set(), 1)
+
+
+def test_bernoulli_numbers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(80):
+        expected = Fraction(str(sympy.bernoulli(k)))
+        # sympy >= 1.12 takes B_1 = +1/2; this package takes B_1 = -1/2
+        assert bernoulli_number(k) == (-abs(expected) if k == 1 else expected), k

@@ -122,3 +122,28 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(9) == 2
     with pytest.raises(ValueError):
         smallest_primitive_root(8)
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in [*range(1, 2001), 2**31 - 1, 3**13, 2 * 3 * 5 * 7 * 11 * 13 * 17, 999983 * 1009]:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_primitive_root_and_order_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import n_order, primitive_root
+
+    for q in range(2, 600):
+        expected = primitive_root(q)  # the smallest one, or None if (Z/q)^x is not cyclic
+        if expected is None:
+            with pytest.raises(ValueError):
+                smallest_primitive_root(q)
+        else:
+            assert smallest_primitive_root(q) == expected, q
+    rng = random.Random(13)
+    for _ in range(600):
+        n = rng.randint(2, 5000)
+        a = rng.randint(0, n - 1)
+        if math.gcd(a, n) == 1:
+            assert multiplicative_order(a, n) == n_order(a, n), (a, n)

@@ -83,6 +83,8 @@ def test_cli_usage_error_exit_2():
         ["dirichlet", "--N-max", "0"],
         ["curves", "--spec", "[1,2]"],
         ["dirichlet", "--field", '{"modulus":0,"subgroup":[0]}'],
+        ["dirichlet", "--N-max", "3", "--n-max", "0"],
+        ["dirichlet", "--N-max", "3", "--n-max", "-1"],
     ):
         code, out, err = run_cli(bad)
         assert code == 2

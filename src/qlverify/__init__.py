@@ -39,7 +39,6 @@ from .equivariant import (
     CyclicMackeyData,
     bredon_cohomology,
     cyclic_fixed_point_mackey,
-    cyclic_subgroup_mackey,
     h0_fixed_point_oracle,
     moore_cochain_complex,
 )

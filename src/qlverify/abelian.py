@@ -120,26 +120,6 @@ class IntMatrix:
             c0 += b.cols
         return IntMatrix.from_rows(data, cols)
 
-    @staticmethod
-    def assemble(grid) -> "IntMatrix":
-        """Block matrix from a 2D grid of IntMatrix pieces (shapes must align)."""
-        row_heights = [row[0].rows for row in grid]
-        col_widths = [b.cols for b in grid[0]]
-        rows, cols = sum(row_heights), sum(col_widths)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = 0
-        for bi, row in enumerate(grid):
-            c0 = 0
-            for bj, b in enumerate(row):
-                if b.rows != row_heights[bi] or b.cols != col_widths[bj]:
-                    raise ValueError("ragged block grid")
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        data[r0 + i][c0 + j] = b.data[i][j]
-                c0 += b.cols
-            r0 += row_heights[bi]
-        return IntMatrix.from_rows(data, cols)
-
 
 def _coerce(M) -> IntMatrix:
     return M if isinstance(M, IntMatrix) else IntMatrix.from_rows(M)

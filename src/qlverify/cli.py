@@ -2,14 +2,18 @@
 deterministic TSV or JSON reports.
 
 Exit codes: 0 when nothing failed, 1 when any check failed, 2 on usage
-errors, including a parameter matrix that yields no PASS, FAIL or SKIP
-record (no records at all, or only PREDICTION records).  Output is
-byte-identical across runs with the same flags.
+errors: bad flags or specs (unknown spec keys, a --max-field-size below 1),
+an --out file that cannot be opened, which is checked before any
+computation, and a parameter matrix that checks nothing, that is one that
+yields no PASS and no FAIL record (no records at all, or only SKIP and
+PREDICTION records).  Output is byte-identical across runs with the same
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -23,7 +27,7 @@ from .dirichlet import (
 )
 from .ffqlc import CyclicCharacter, InducedRepFF, verify_induced_ff, verify_main_theorem_ff
 from .numtheory import prime_power_decomposition
-from .report import PREDICTION, VerificationReport
+from .report import FAIL, PASS, SKIP, VerificationReport
 
 
 def run_ffqlc(q_list, m_max: int, k_max: int) -> VerificationReport:
@@ -133,15 +137,15 @@ def _is_int_list(x) -> bool:
 
 
 def _cover_spec(spec) -> dict:
-    if not (isinstance(spec, dict) and _is_int(spec.get("p")) and _is_int(spec.get("d"))
-            and _is_int_list(spec.get("f"))):
+    if not (isinstance(spec, dict) and spec.keys() == {"p", "d", "f"} and _is_int(spec["p"])
+            and _is_int(spec["d"]) and _is_int_list(spec["f"])):
         raise ValueError(f'cover spec must look like {{"p": 3, "d": 2, "f": [0, 1]}}, got {spec!r}')
     return spec
 
 
 def _field_spec(spec) -> dict:
-    if not (isinstance(spec, dict) and _is_int(spec.get("modulus")) and spec["modulus"] >= 1
-            and _is_int_list(spec.get("subgroup"))):
+    if not (isinstance(spec, dict) and spec.keys() == {"modulus", "subgroup"}
+            and _is_int(spec["modulus"]) and spec["modulus"] >= 1 and _is_int_list(spec["subgroup"])):
         raise ValueError(
             f'field spec must look like {{"modulus": 5, "subgroup": [1, 4]}} with modulus >= 1, got {spec!r}'
         )
@@ -167,23 +171,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ffqlc":
-            report = run_ffqlc(_parse_q_list(args.q), args.m_max, args.k_max)
-        elif args.command == "curves":
-            report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
-        else:
-            fields = [_field_spec(json.loads(text)) for text in args.field]
-            report = run_dirichlet(args.N_max, args.n_max, fields)
-    except (ValueError, OSError, KeyError) as exc:
-        parser.exit(2, f"usage error: {exc!r}\n")
-    if all(r.status == PREDICTION for r in report.records):
-        parser.exit(2, "usage error: the parameter matrix yields no checks\n")
-    text = report.to_json() if args.format == "json" else report.to_tsv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.exit(2, f"usage error: cannot open --out: {exc}\n")
+    with out as fh:
+        try:
+            if args.command == "ffqlc":
+                report = run_ffqlc(_parse_q_list(args.q), args.m_max, args.k_max)
+            elif args.command == "curves":
+                if args.max_field_size < 1:
+                    raise ValueError(f"--max-field-size must be >= 1, got {args.max_field_size}")
+                report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
+            else:
+                fields = [_field_spec(json.loads(text)) for text in args.field]
+                report = run_dirichlet(args.N_max, args.n_max, fields)
+        except (ValueError, OSError, KeyError) as exc:
+            parser.exit(2, f"usage error: {exc!r}\n")
+        counts = report.counts()
+        if not counts[PASS] and not counts[FAIL]:
+            parser.exit(2, f"usage error: the parameter matrix yields no checks "
+                           f"(no PASS or FAIL record, SKIP={counts[SKIP]})\n")
+        fh.write(report.to_json() if args.format == "json" else report.to_tsv())
     return 0 if report.ok else 1
 
 

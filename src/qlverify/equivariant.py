@@ -1,11 +1,16 @@
 """Restriction-only Mackey data over a cyclic group and its Bredon cohomology.
 
+Every datum in scope is cyclic: the value on the orbit C_m/C_d is the
+finite cyclic group Z/orders[d], and the restriction from level big to a
+level small | big is the subgroup inclusion, multiplication by
+orders[small] // orders[big].  So a datum is its orders and nothing else.
+
 For C_m with distinct prime factors p_1 < ... < p_l, the cellular cochain
 complex of the equivariant Moore object for the standard cyclotomic
 character occupies degrees -l..0.  The degree -s term is the direct sum,
-over the size-s subsets S of the primes, of the value at the orbit level
-prod(S); the differential drops one prime at a time through the given
-restriction homomorphisms with alternating Cech signs.
+over the size-s subsets S of the primes, of Z/orders[prod(S)]; the
+differential drops one prime at a time through the restriction
+multipliers with alternating Cech signs, so it is one integer matrix.
 
 Transfers are deliberately absent from the data model: every computation
 in scope needs restrictions only.
@@ -17,7 +22,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .abelian import (
     BoundedComplex,
@@ -31,120 +37,75 @@ from .numtheory import divisors, factorize, multiplicative_order
 
 @dataclass(frozen=True, eq=False)
 class CyclicMackeyData:
-    """Values on orbits C_m/C_d (one per divisor d of m) plus restrictions.
+    """Cyclic restriction data over C_m: value(d) = Z/orders[d], one order
+    per divisor d of m, and restrictions the subgroup inclusions.
 
-    ext[(d_big, d_small)] is an integer matrix on generators mapping
-    value(d_big) into value(d_small), for every pair d_small | d_big.  The
-    pair (d, d) may be omitted and defaults to the identity; an explicit
-    one must induce the identity on value(d).
+    Construction requires every order to be a positive integer and
+    orders[a] to divide orders[a/p] on the one-prime steps a -> a/p.
+    Divisibility is transitive, so then orders[big] divides orders[small]
+    for every small | big, and each inclusion is well defined.  The
+    multipliers telescope, orders[c]/orders[b] * orders[b]/orders[a] ==
+    orders[c]/orders[a], so functoriality holds exactly, not only modulo
+    relations.  The orders are copied into a read-only mapping: changing
+    the caller's dict later does not change a validated datum.
 
-    Construction checks shapes on every pair, but well-definedness
-    (relations go to relations) only on the one-prime steps a -> a/p, and
-    functoriality ext(a, c) == ext(a/p, c) ext(a, a/p) only for c a proper
-    divisor of a/p, where == means equal modulo the relations of value(c).
-    Both properties then hold everywhere, by induction on the number of
-    prime factors of a/c:
+    The K_1 groups of the subfields of F_64/F_2:
 
-    - ext(a, c) with c != a is well defined: pick p with c | a/p.  It
-      differs by a map into the relations of value(c) from the composite
-      of ext(a, a/p) (checked) and ext(a/p, c) (induction).
-    - ext(a, c) == ext(b, c) ext(a, b) for c | b | a: if b == a or c == b
-      this is ext(d, d) == id.  Otherwise pick p with b | a/p; then
-          ext(a, c) == ext(a/p, c) ext(a, a/p)
-                    == ext(b, c) ext(a/p, b) ext(a, a/p)   (induction)
-                    == ext(b, c) ext(a, b),
-      the last step being the checked triple (a, a/p, b) pushed through the
-      well-defined ext(b, c).  The triples (a, a/p, a/p) are instances of
-      ext(d, d) == id, so they are not checked either.
+    >>> M = CyclicMackeyData(6, {d: 2 ** (6 // d) - 1 for d in (1, 2, 3, 6)})
+    >>> M.multiplier(3, 1)
+    21
     """
 
     m: int
-    value: Mapping[int, PresentedAbelianGroup]
-    ext: Mapping[tuple[int, int], IntMatrix]
+    orders: Mapping[int, int]
 
     def __post_init__(self):
-        divs = divisors(self.m)
-        if sorted(self.value.keys()) != divs:
-            raise ValueError("need exactly one value per divisor of m")
-        full = dict(self.ext)
-        for big in divs:
-            src = self.value[big]
-            identity = IntMatrix.identity(src.n_generators)
-            for small in divisors(big):
-                mat = full.setdefault((big, small), identity if small == big else None)
-                if mat is None:
-                    raise ValueError(f"missing restriction {big} -> {small}")
-                if (mat.rows, mat.cols) != (self.value[small].n_generators, src.n_generators):
-                    raise ValueError(f"restriction {big} -> {small} has wrong shape")
-            if (big, big) in self.ext and not src.relations_contain(self.ext[(big, big)] + (-identity)):
-                raise ValueError(f"restriction {big} -> {big} is not the identity")
-        for a in divs:
+        orders = dict(self.orders)
+        if sorted(orders) != divisors(self.m):
+            raise ValueError("need exactly one order per divisor of m")
+        for a, n in orders.items():
+            if n < 1:
+                raise ValueError(f"order {n} at level {a} is not positive")
             for p in factorize(a).primes:
-                b = a // p
-                step = full[(a, b)]
-                if not self.value[b].relations_contain(step @ self.value[a].relations):
-                    raise ValueError(f"restriction {a} -> {b} not well defined")
-                for c in divisors(b)[:-1]:
-                    if not self.value[c].relations_contain(full[(a, c)] + (-(full[(b, c)] @ step))):
-                        raise ValueError(f"restrictions not functorial along {a} -> {b} -> {c}")
-        object.__setattr__(self, "ext", full)
+                if orders[a // p] % n:
+                    raise ValueError(f"order {n} at level {a} does not divide "
+                                     f"order {orders[a // p]} at level {a // p}")
+        object.__setattr__(self, "orders", MappingProxyType(orders))
 
-    def restriction(self, d_big: int, d_small: int) -> IntMatrix:
-        return self.ext[(d_big, d_small)]
+    def multiplier(self, big: int, small: int) -> int:
+        """The restriction Z/orders[big] -> Z/orders[small], small | big,
+        as multiplication by an integer."""
+        return self.orders[small] // self.orders[big]
 
 
-def cyclic_subgroup_mackey(m: int, orders: Mapping[int, int]) -> CyclicMackeyData:
-    """Cyclic Mackey data: value(d) = Z/orders[d], restrictions inclusions.
-
-    Every value is presented on one generator, and the restriction from big
-    to small | big is multiplication by orders[small] // orders[big], the
-    inclusion of Z/orders[big] into Z/orders[small]; so orders[big] must
-    divide orders[small].  The K_1 groups of the subfields of F_64/F_2:
-
-    >>> M = cyclic_subgroup_mackey(6, {d: 2 ** (6 // d) - 1 for d in (1, 2, 3, 6)})
-    >>> M.restriction(3, 1).data
-    ((21,),)
-    """
-    ext = {}
-    for big in orders:
-        for small in orders:
-            if big % small == 0 and big != small:
-                if orders[big] < 1 or orders[small] % orders[big]:
-                    raise ValueError(f"order {orders[big]} at level {big} does not divide "
-                                     f"order {orders[small]} at level {small}")
-                ext[(big, small)] = IntMatrix.from_rows([[orders[small] // orders[big]]])
-    return CyclicMackeyData(m, {d: PresentedAbelianGroup.cyclic(n) for d, n in orders.items()}, ext)
-
-
-def _cech_complex(labels, term_of, map_between) -> BoundedComplex:
+def _cech_complex(labels, order_of: Callable[[tuple], int],
+                  multiplier: Callable[[tuple, tuple], int]) -> BoundedComplex:
     """Cochain complex indexed by subsets of labels, degrees -len(labels)..0.
 
-    term_of(S) gives the presented group attached to the subset S (a sorted
-    tuple); map_between(S, T) the generator matrix for dropping one label,
-    T = S minus one element.  The component sign is (-1)^j where j is the
-    1-based position of the dropped label in sorted(S).
+    order_of(S) gives the order of the cyclic group attached to the subset
+    S (a sorted tuple); multiplier(S, T) the integer map for dropping one
+    label, T = S minus one element.  The component sign is (-1)^j where j
+    is the 1-based position of the dropped label in sorted(S).
     """
     labels = tuple(sorted(labels))
     n = len(labels)
     subsets_by_size = [list(itertools.combinations(labels, size)) for size in range(n, -1, -1)]
-    by_degree = [[term_of(S) for S in subsets] for subsets in subsets_by_size]
-    terms = tuple(PresentedAbelianGroup.direct_sum(*groups) if len(groups) > 1 else groups[0]
-                  for groups in by_degree)
-    diffs = []
-    for sources, targets in zip(subsets_by_size, subsets_by_size[1:]):
-        grid = []
-        for T in targets:
-            row = []
-            for S in sources:
-                if set(T) <= set(S):
-                    j = next(i for i, x in enumerate(S, 1) if x not in T)
-                    block = map_between(S, T)
-                    row.append(block if j % 2 == 0 else -block)
-                else:
-                    row.append(IntMatrix.zero(term_of(T).n_generators, term_of(S).n_generators))
-            grid.append(row)
-        diffs.append(IntMatrix.assemble(grid))
-    return BoundedComplex(-n, terms, tuple(diffs))
+    terms = tuple(
+        PresentedAbelianGroup.direct_sum(*(PresentedAbelianGroup.cyclic(order_of(S)) for S in subsets))
+        for subsets in subsets_by_size
+    )
+
+    def entry(S, T) -> int:
+        if not set(T) <= set(S):
+            return 0
+        j = next(i for i, x in enumerate(S, 1) if x not in T)
+        return (-1) ** j * multiplier(S, T)
+
+    diffs = tuple(
+        IntMatrix.from_rows([[entry(S, T) for S in sources] for T in targets], len(sources))
+        for sources, targets in zip(subsets_by_size, subsets_by_size[1:])
+    )
+    return BoundedComplex(-n, terms, diffs)
 
 
 @lru_cache(maxsize=1)
@@ -152,18 +113,17 @@ def moore_cochain_complex(M: CyclicMackeyData) -> BoundedComplex:
     """Cellular cochain complex of the Moore object, degrees -l..0.
 
     l is the number of distinct primes of m; the subset S of primes
-    contributes value(prod(S)) in degree -|S|, and the differentials are
-    alternating sums of restrictions.
+    contributes Z/orders[prod(S)] in degree -|S|, and the differentials
+    are alternating sums of restriction multipliers.
 
     The last complex is kept, so asking bredon_cohomology for every degree
     of one datum builds and validates it once.  Mackey data are frozen and
     compare by identity, so the cache key is the datum itself.
     """
-    primes = factorize(M.m).primes
     return _cech_complex(
-        primes,
-        lambda S: M.value[prod(S)],
-        lambda S, T: M.restriction(prod(S), prod(T)),
+        factorize(M.m).primes,
+        lambda S: M.orders[prod(S)],
+        lambda S, T: M.multiplier(prod(S), prod(T)),
     )
 
 
@@ -178,19 +138,16 @@ def bredon_cohomology(M: CyclicMackeyData, s: int) -> FgAbelianGroup:
 def h0_fixed_point_oracle(M: CyclicMackeyData) -> FgAbelianGroup:
     """Closed form for H^0: value(1) modulo the images of all prime-level
     restrictions, computed as a single cokernel."""
-    bottom = M.value[1]
-    stacked = bottom.relations
-    for p in factorize(M.m).primes:
-        stacked = stacked.hstack(M.restriction(p, 1))
-    return PresentedAbelianGroup(bottom.n_generators, stacked).normal_form()
+    row = [M.orders[1], *(M.multiplier(p, 1) for p in factorize(M.m).primes)]
+    return PresentedAbelianGroup.from_relation_rows(1, [row]).normal_form()
 
 
 def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:
     """Kernel-filtration Mackey data on A = Z/mod for a unit u with u^m = 1.
 
     value(d) is the kernel of multiplication by u^(m/d) - 1 on A, i.e. the
-    cyclic subgroup of order gcd(u^(m/d) - 1, mod), presented on its natural
-    generator; restrictions are the subgroup inclusions.
+    cyclic subgroup of order gcd(u^(m/d) - 1, mod); restrictions are the
+    subgroup inclusions.
     """
     if mod < 1:
         raise ValueError("modulus must be positive")
@@ -198,7 +155,7 @@ def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:
         raise ValueError(f"{u} is not a unit mod {mod}")
     if pow(u, m, mod) != 1:
         raise ValueError(f"u^m != 1 (ord(u) = {multiplicative_order(u, mod)} does not divide {m})")
-    return cyclic_subgroup_mackey(
+    return CyclicMackeyData(
         m, {d: gcd(pow(u, m // d, mod) - 1, mod) if mod > 1 else 1 for d in divisors(m)}
     )
 
@@ -219,13 +176,11 @@ def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:
         # intersection of the subgroups indexed by S is generated by the lcm
         return lcm(*(ds[i] for i in S))
 
-    def term_of(S):
-        return PresentedAbelianGroup.cyclic(mod // gen_of(S))
-
-    def map_between(S, T):
-        return IntMatrix.from_rows([[gen_of(S) // gen_of(T)]])
-
-    return _cech_complex(range(len(ds)), term_of, map_between)
+    return _cech_complex(
+        range(len(ds)),
+        lambda S: mod // gen_of(S),
+        lambda S, T: gen_of(S) // gen_of(T),
+    )
 
 
 def cech_h0_oracle(mod: int, subgroup_gens) -> FgAbelianGroup:

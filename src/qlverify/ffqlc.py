@@ -24,7 +24,7 @@ from math import gcd, prod
 
 from .abelian import FgAbelianGroup
 from .cyclotomic import CyclotomicNumber, quotient_by_principal
-from .equivariant import CyclicMackeyData, bredon_cohomology, cyclic_subgroup_mackey
+from .equivariant import CyclicMackeyData, bredon_cohomology
 from .numtheory import divisors, factorize, prime_power_decomposition, squarefree_subsets
 from .report import PASS, SKIP, VerificationReport, fmt_rational
 
@@ -96,7 +96,7 @@ def k_mackey_finite_field(q: int, m: int, t: int) -> CyclicMackeyData:
     if t < 1 or t % 2 == 0:
         raise ValueError("odd positive degree required (even K-groups vanish)")
     n = (t + 1) // 2
-    return cyclic_subgroup_mackey(m, {d: q ** (n * m // d) - 1 for d in divisors(m)})
+    return CyclicMackeyData(m, {d: q ** (n * m // d) - 1 for d in divisors(m)})
 
 
 def artin_l_value_ff(q: int, chi: CyclicCharacter, k: int) -> CyclotomicNumber:

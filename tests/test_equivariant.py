@@ -18,20 +18,10 @@ from qlverify.equivariant import (
     cech_h0_oracle,
     cyclic_cech_complex,
     cyclic_fixed_point_mackey,
-    cyclic_subgroup_mackey,
     h0_fixed_point_oracle,
     moore_cochain_complex,
 )
 from qlverify.numtheory import divisors, factorize, multiplicative_order
-
-from genrandom import random_unimodular_pair
-
-
-def cyclic_mackey(m, orders, multipliers):
-    """Convenience: one-generator values Z/orders[d] and 1x1 restrictions."""
-    value = {d: PresentedAbelianGroup.cyclic(orders[d]) for d in orders}
-    ext = {pair: IntMatrix.from_rows([[mult]]) for pair, mult in multipliers.items()}
-    return CyclicMackeyData(m, value, ext)
 
 
 def kernel_orders_oracle(mod, u, m):
@@ -49,49 +39,48 @@ def kernel_orders_oracle(mod, u, m):
 
 def test_mackey_requires_all_divisors():
     with pytest.raises(ValueError):
-        cyclic_mackey(4, {1: 3, 4: 1}, {(4, 1): 3})
+        CyclicMackeyData(4, {1: 3, 4: 1})
+    with pytest.raises(ValueError):
+        CyclicMackeyData(2, {1: 3, 2: 1, 3: 1})
 
 
 def test_mackey_rejects_ill_defined_restriction():
+    # a restriction is the inclusion Z/orders[big] -> Z/orders[small]; it
+    # exists only when a positive orders[big] divides orders[small]
     with pytest.raises(ValueError):
-        cyclic_mackey(2, {1: 3, 2: 1}, {(2, 1): 1})  # trivial group cannot map by 1
-
-
-def test_mackey_rejects_non_functorial_restrictions():
-    orders = {1: 8, 2: 4, 4: 2}
+        CyclicMackeyData(2, {1: 3, 2: 2})
     with pytest.raises(ValueError):
-        cyclic_mackey(4, orders, {(2, 1): 2, (4, 2): 2, (4, 1): 2})  # 2 != 2*2 mod 8
-
-
-def test_identity_restrictions_default():
-    M = cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1})
-    assert M.restriction(1, 1).data == ((1,),)
-
-
-def test_mackey_rejects_non_identity_self_restriction():
-    with pytest.raises(ValueError):
-        cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1, (2, 2): 2})
-    M = cyclic_mackey(2, {1: 5, 2: 5}, {(2, 1): 1, (2, 2): 6})  # 6 acts as 1 on Z/5
-    assert M.restriction(2, 2).data == ((6,),)
-
-
-def test_cyclic_subgroup_mackey_values_and_restrictions():
-    M = cyclic_subgroup_mackey(4, {1: 12, 2: 6, 4: 2})
-    assert [M.value[d].normal_form() for d in (1, 2, 4)] == [
-        FgAbelianGroup.cyclic(n) for n in (12, 6, 2)]
-    assert [M.restriction(*pair).data for pair in ((2, 1), (4, 2), (4, 1), (4, 4))] == [
-        ((2,),), ((3,),), ((6,),), ((1,),)]
+        CyclicMackeyData(1, {1: 0})
 
 
 def test_cyclic_subgroup_mackey_rejects_non_dividing_orders():
     with pytest.raises(ValueError):
-        cyclic_subgroup_mackey(2, {1: 3, 2: 2})
+        CyclicMackeyData(2, {1: 3, 2: 2})
     with pytest.raises(ValueError):
-        cyclic_subgroup_mackey(6, {1: 12, 2: 4, 3: 6, 6: 4})  # 4 does not divide 6
+        CyclicMackeyData(6, {1: 12, 2: 4, 3: 6, 6: 4})  # 4 does not divide 6
     with pytest.raises(ValueError):
-        cyclic_subgroup_mackey(2, {1: 0, 2: 0})
+        CyclicMackeyData(2, {1: 0, 2: 0})
     with pytest.raises(ValueError):
-        cyclic_subgroup_mackey(4, {1: 4, 4: 2})  # level 2 missing
+        CyclicMackeyData(4, {1: 4, 4: 2})  # level 2 missing
+
+
+def test_identity_restrictions_default():
+    M = CyclicMackeyData(6, {1: 12, 2: 6, 3: 4, 6: 2})
+    assert [M.multiplier(d, d) for d in (1, 2, 3, 6)] == [1, 1, 1, 1]
+
+
+def test_mackey_orders_and_multipliers():
+    orders = {1: 12, 2: 6, 4: 2}
+    M = CyclicMackeyData(4, orders)
+    assert dict(M.orders) == orders
+    assert [M.multiplier(*pair) for pair in ((2, 1), (4, 2), (4, 1), (4, 4))] == [2, 3, 6, 1]
+    # the multipliers telescope: functoriality holds on the nose
+    assert M.multiplier(4, 1) == M.multiplier(2, 1) * M.multiplier(4, 2)
+    # a validated datum keeps its own copy of the orders
+    orders[4] = 5
+    assert M.orders[4] == 2 and M.multiplier(4, 1) == 6
+    with pytest.raises(TypeError):
+        M.orders[4] = 5
 
 
 def brute_force_mackey_ok(m, value, ext):
@@ -125,56 +114,39 @@ def random_subgroup_orders(rng, m):
     return {d: prod(r[e] for e in r if e % d == 0) for d in r}
 
 
-def disguised_sum(rng, m, first, second):
-    """Direct sum of two Mackey data, level by level and block-diagonally,
-    with every level's generators scrambled by a unimodular change."""
-    q = {d: random_unimodular_pair(rng, 2) for d in divisors(m)}
-    value = {d: PresentedAbelianGroup(2, q[d][0] @ first.value[d].direct_sum(second.value[d]).relations)
-             for d in q}
-    ext = {
-        (big, small): q[small][0] @ IntMatrix.block_diagonal(
-            [first.restriction(big, small), second.restriction(big, small)]) @ q[big][1]
-        for big in q for small in q if big % small == 0 and big != small
-    }
-    return value, ext
-
-
 @pytest.mark.parametrize("m", [1, 2, 4, 5, 6, 12, 30, 36, 60])
 def test_lean_validation_matches_brute_force_oracle(m):
+    """The constructor checks positivity and divisibility on the one-prime
+    steps only; it must accept exactly when every pair small | big divides,
+    and whatever it accepts must satisfy the definition of Mackey data on
+    the presented values Z/orders[d] with the 1x1 maps it derives."""
     rng = random.Random(m)
+    divs = divisors(m)
     rejected = accepted = 0
-    for trial in range(6):
-        first = cyclic_subgroup_mackey(m, random_subgroup_orders(rng, m))
-        if trial % 2 == 0:
-            value = first.value
-            ext = {pair: mat for pair, mat in first.ext.items() if pair[0] != pair[1]}
-        else:
-            second = cyclic_subgroup_mackey(m, random_subgroup_orders(rng, m))
-            value, ext = disguised_sum(rng, m, first, second)
-        assert brute_force_mackey_ok(m, value, ext)
-        CyclicMackeyData(m, value, ext)
-        # corrupt one entry, always including the longest pair (m, 1),
-        # which is not a one-prime step once m has two prime factors
-        pairs = sorted(ext)
-        for pair in [(m, 1)] * (m > 1) + rng.sample(pairs, min(3, len(pairs))):
-            mat = ext[pair]
-            i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
-            delta = rng.choice([-2, -1, 1, 2, value[pair[1]].normal_form().order()])
-            rows = [list(row) for row in mat.data]
-            rows[i][j] += delta
-            bad = dict(ext)
-            bad[pair] = IntMatrix.from_rows(rows, mat.cols)
-            expected_ok = brute_force_mackey_ok(m, value, bad)
-            try:
-                CyclicMackeyData(m, value, bad)
-                lean_ok = True
-            except ValueError:
-                lean_ok = False
-            assert lean_ok == expected_ok, (m, pair, delta)
-            rejected += not expected_ok
-            accepted += expected_ok
+    for trial in range(12):
+        orders = random_subgroup_orders(rng, m)
+        if trial % 3:
+            # corrupt one level, always including the top level m in turn:
+            # once m has two prime factors, its pair with 1 is not a step
+            d = m if trial % 3 == 1 else rng.choice(divs)
+            orders[d] = rng.choice([0, 1, 2, 3, 4, 6, 8, 12, orders[d] * 7])
+        pairs_divide = all(n >= 1 for n in orders.values()) and all(
+            orders[small] % orders[big] == 0 for big in divs for small in divs if big % small == 0)
+        try:
+            M = CyclicMackeyData(m, orders)
+        except ValueError:
+            M = None
+        assert (M is not None) == pairs_divide, (m, orders)
+        if M is not None:
+            value = {d: PresentedAbelianGroup.cyclic(n) for d, n in orders.items()}
+            ext = {(big, small): IntMatrix.from_rows([[M.multiplier(big, small)]])
+                   for big in divs for small in divs if big % small == 0}
+            assert brute_force_mackey_ok(m, value, ext), (m, orders)
+        rejected += M is None
+        accepted += M is not None
+    assert accepted
     if m > 1:
-        assert rejected and accepted
+        assert rejected
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +154,7 @@ def test_lean_validation_matches_brute_force_oracle(m):
 
 
 def test_moore_complex_m_1():
-    M = cyclic_mackey(1, {1: 7}, {})
+    M = CyclicMackeyData(1, {1: 7})
     C = moore_cochain_complex(M)
     assert (C.lo, C.hi) == (0, 0)
     assert C.term(0).normal_form() == FgAbelianGroup.cyclic(7)
@@ -190,7 +162,7 @@ def test_moore_complex_m_1():
 
 def test_moore_complex_m_4_uses_radical():
     # lambda = 1: only the levels 1 and 2 enter, value(4) is carried but unused
-    M = cyclic_mackey(4, {1: 15, 2: 3, 4: 1}, {(2, 1): 5, (4, 1): 15, (4, 2): 3})
+    M = CyclicMackeyData(4, {1: 15, 2: 3, 4: 1})
     C = moore_cochain_complex(M)
     assert (C.lo, C.hi) == (-1, 0)
     assert C.term(-1).normal_form() == FgAbelianGroup.cyclic(3)
@@ -199,16 +171,14 @@ def test_moore_complex_m_4_uses_radical():
 
 
 def test_moore_complex_m_6_shape_and_d_squared():
-    M = cyclic_mackey(
-        6,
-        {1: 63, 2: 7, 3: 3, 6: 1},
-        {(2, 1): 9, (3, 1): 21, (6, 1): 63, (6, 2): 7, (6, 3): 3},
-    )
+    M = CyclicMackeyData(6, {1: 63, 2: 7, 3: 3, 6: 1})
     C = moore_cochain_complex(M)  # construction itself validates d^2 = 0
     assert (C.lo, C.hi) == (-2, 0)
     assert C.term(-2).normal_form() == FgAbelianGroup.cyclic(1)
     assert C.term(-1).normal_form() == FgAbelianGroup.cyclic(21)  # Z/7 + Z/3
     assert C.term(0).normal_form() == FgAbelianGroup.cyclic(63)
+    # rows are the targets, columns the sources; dropping the j-th prime of S signs by (-1)^j
+    assert [d.data for d in C.differentials] == [((7,), (-3,)), ((-9, -21),)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +186,16 @@ def test_moore_complex_m_6_shape_and_d_squared():
 
 
 def test_bredon_m2_examples():
-    M = cyclic_mackey(2, {1: 3, 2: 1}, {(2, 1): 3})
+    M = CyclicMackeyData(2, {1: 3, 2: 1})
     assert bredon_cohomology(M, 0) == FgAbelianGroup.cyclic(3)
     assert bredon_cohomology(M, -1).is_trivial
-    M2 = cyclic_mackey(2, {1: 8, 2: 2}, {(2, 1): 4})
+    M2 = CyclicMackeyData(2, {1: 8, 2: 2})
     assert bredon_cohomology(M2, 0) == FgAbelianGroup.cyclic(4)
     assert bredon_cohomology(M2, -1).is_trivial
 
 
 def test_bredon_rejects_out_of_range_degree():
-    M = cyclic_mackey(2, {1: 3, 2: 1}, {(2, 1): 3})
+    M = CyclicMackeyData(2, {1: 3, 2: 1})
     with pytest.raises(ValueError):
         bredon_cohomology(M, 1)
     with pytest.raises(ValueError):
@@ -233,17 +203,27 @@ def test_bredon_rejects_out_of_range_degree():
 
 
 def test_h0_oracle_examples():
-    M = cyclic_mackey(
-        6,
-        {1: 63, 2: 7, 3: 3, 6: 1},
-        {(2, 1): 9, (3, 1): 21, (6, 1): 63, (6, 2): 7, (6, 3): 3},
-    )
+    M = CyclicMackeyData(6, {1: 63, 2: 7, 3: 3, 6: 1})
     assert h0_fixed_point_oracle(M) == FgAbelianGroup.cyclic(3)  # gcd(63, 9, 21)
-    M1 = cyclic_mackey(1, {1: 10}, {})
+    M1 = CyclicMackeyData(1, {1: 10})
     assert h0_fixed_point_oracle(M1) == FgAbelianGroup.cyclic(10)
-    M4 = cyclic_mackey(4, {1: 15, 2: 3, 4: 1}, {(2, 1): 5, (4, 1): 15, (4, 2): 3})
+    M4 = CyclicMackeyData(4, {1: 15, 2: 3, 4: 1})
     assert h0_fixed_point_oracle(M4) == FgAbelianGroup.cyclic(5)
     assert bredon_cohomology(M4, 0) == FgAbelianGroup.cyclic(5)
+
+
+def test_h0_oracle_is_independent_of_the_complex(monkeypatch):
+    # the oracle is a cross-check of bredon_cohomology only while it shares
+    # neither the Moore complex nor the cohomology routine with it
+    import qlverify.equivariant as equivariant
+
+    def forbidden(*args):
+        raise AssertionError("the H^0 oracle must not use the Moore complex")
+
+    monkeypatch.setattr(equivariant, "moore_cochain_complex", forbidden)
+    monkeypatch.setattr(equivariant, "cohomology", forbidden)
+    M = cyclic_fixed_point_mackey(31, 3, 30)
+    assert h0_fixed_point_oracle(M) == FgAbelianGroup.cyclic(31)  # every prime level is 0
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +232,12 @@ def test_h0_oracle_examples():
 
 def test_cyclic_fixed_point_examples():
     M = cyclic_fixed_point_mackey(63, 4, 3)
-    assert M.value[1].normal_form() == FgAbelianGroup.cyclic(63)
-    assert M.value[3].normal_form() == FgAbelianGroup.cyclic(3)
-    assert M.restriction(3, 1).data == ((21,),)
+    assert dict(M.orders) == {1: 63, 3: 3}
+    assert M.multiplier(3, 1) == 21
     const = cyclic_fixed_point_mackey(20, 1, 6)
     for d in (1, 2, 3, 6):
-        assert const.value[d].normal_form() == FgAbelianGroup.cyclic(20)
-        assert const.restriction(d, 1).data == ((1,),)
+        assert const.orders[d] == 20
+        assert const.multiplier(d, 1) == 1
 
 
 def test_cyclic_fixed_point_orders_match_enumeration_oracle():
@@ -272,8 +251,7 @@ def test_cyclic_fixed_point_orders_match_enumeration_oracle():
         m = multiplicative_order(u, mod) * rng.choice([1, 2, 3])
         expected = kernel_orders_oracle(mod, u, m)
         M = cyclic_fixed_point_mackey(mod, u, m)
-        for d, size in expected.items():
-            assert M.value[d].normal_form() == FgAbelianGroup.cyclic(size)
+        assert dict(M.orders) == expected
         checked += 1
 
 
@@ -289,7 +267,7 @@ def test_q_power_subgroup_structure():
     q, n, m = 2, 1, 6
     M = cyclic_fixed_point_mackey(q ** (n * m) - 1, q**n, m)
     for d in (1, 2, 3, 6):
-        assert M.value[d].normal_form() == FgAbelianGroup.cyclic(q ** (n * m // d) - 1)
+        assert M.orders[d] == q ** (n * m // d) - 1
 
 
 def test_concentration_in_degree_zero_randomized():

@@ -42,18 +42,14 @@ def test_k_groups_examples():
 
 
 def test_k_mackey_examples():
-    M = k_mackey_finite_field(2, 2, 1)
-    assert M.value[1].normal_form() == FgAbelianGroup.cyclic(3)
-    assert M.value[2].normal_form().is_trivial
+    assert dict(k_mackey_finite_field(2, 2, 1).orders) == {1: 3, 2: 1}
     M = k_mackey_finite_field(3, 2, 1)
-    assert M.value[1].normal_form() == FgAbelianGroup.cyclic(8)
-    assert M.value[2].normal_form() == FgAbelianGroup.cyclic(2)
-    assert M.restriction(2, 1).data == ((4,),)
+    assert dict(M.orders) == {1: 8, 2: 2}
+    assert M.multiplier(2, 1) == 4
     M = k_mackey_finite_field(2, 6, 1)
-    assert M.value[2].normal_form() == FgAbelianGroup.cyclic(7)
-    assert M.restriction(2, 1).data == ((9,),)
-    assert M.restriction(3, 1).data == ((21,),)
-    assert M.value[6].normal_form().is_trivial
+    assert dict(M.orders) == {1: 63, 2: 7, 3: 3, 6: 1}
+    assert M.multiplier(2, 1) == 9
+    assert M.multiplier(3, 1) == 21
     with pytest.raises(ValueError):
         k_mackey_finite_field(2, 2, 2)
 
@@ -65,10 +61,8 @@ def test_k_mackey_agrees_with_kernel_filtration():
         n = (t + 1) // 2
         A = k_mackey_finite_field(q, m, t)
         B = cyclic_fixed_point_mackey(q ** (n * m) - 1, q**n, m)
-        for d in A.value:
-            assert A.value[d].normal_form() == B.value[d].normal_form()
-            if d > 1:
-                assert A.restriction(d, 1).data == B.restriction(d, 1).data
+        assert A.orders == B.orders
+        assert all(A.multiplier(d, 1) == B.multiplier(d, 1) for d in A.orders)
 
 
 def test_artin_l_values():

@@ -71,7 +71,7 @@ def test_cli_deterministic_output():
     assert any(r["value"] == "1/24" for r in predictions)
 
 
-def test_cli_usage_error_exit_2():
+def test_cli_usage_error_exit_2(tmp_path):
     code, _, err = run_cli(["ffqlc", "--q", "6"])
     assert code == 2
     assert "usage error" in err
@@ -85,10 +85,25 @@ def test_cli_usage_error_exit_2():
         ["dirichlet", "--field", '{"modulus":0,"subgroup":[0]}'],
         ["dirichlet", "--N-max", "3", "--n-max", "0"],
         ["dirichlet", "--N-max", "3", "--n-max", "-1"],
+        ["--out", str(tmp_path / "missing" / "x"), "ffqlc"],
+        ["curves", "--max-field-size", "0"],
+        ["curves", "--max-field-size", "-5"],
+        ["curves", "--spec", '{"p":3,"d":2,"f":[1,1]}', "--order", "50"],
+        ["curves", "--spec", '{"p":3,"d":2,"f":[1,1],"x":1}'],
+        ["dirichlet", "--field", '{"modulus":5,"subgroup":[1,4],"x":1}'],
     ):
         code, out, err = run_cli(bad)
         assert code == 2
-        assert "usage error" in err and out == ""
+        assert "usage error" in err and "Traceback" not in err and out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_skip_only_run_counts_its_skips(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["curves", "--spec", '{"p":3,"d":2,"f":[1,1]}', "--order", "50"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "no PASS or FAIL record, SKIP=1" in captured.err
 
 
 def test_cli_out_file(tmp_path):

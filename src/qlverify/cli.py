@@ -186,7 +186,7 @@ def main(argv=None) -> int:
                 fields = [_field_spec(json.loads(text)) for text in args.field]
                 report = run_dirichlet(args.N_max, args.n_max, fields)
         except (ValueError, OSError, KeyError) as exc:
-            parser.exit(2, f"usage error: {exc!r}\n")
+            parser.exit(2, f"usage error: {type(exc).__name__}: {exc}\n")
         counts = report.counts()
         if not counts[PASS] and not counts[FAIL]:
             parser.exit(2, f"usage error: the parameter matrix yields no checks "

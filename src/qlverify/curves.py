@@ -18,14 +18,16 @@ logarithm of f(x)^((p^r - 1)/d) in mu_d with respect to the fixed
 generator of F_p^x.  All series coefficients are exact cyclotomic numbers.
 
 Point enumeration is exhaustive but works on discrete logarithms.  For
-each degree r, tables of F_(p^r) are built once for a multiplicative
-generator g: enc_pow (g^i -> encoding), dlog (encoding -> i) and the Zech
-array zech[i] = dlog(1 + g^i).  Encodings use window coordinates: g^i is
-the base-p number with digits (u_i, ..., u_(i+r-1)), where u is the
-impulse response of the minimal polynomial of g.  This is an F_p-linear
-coordinate system in which the constant c encodes as c, so adding 1 only
-bumps digit 0.  The power walk extends u by doubling steps over numpy
-slices, O(p^r * r) work.  The tables are int32 whenever p^r < 2^31.
+each degree r, tables of F_(p^r) are built once for the generator g = x
+of F_p[x]/m, with m = gf.primitive_polynomial(p, r) the first monic
+polynomial in which x has order p^r - 1: enc_pow (g^i -> encoding), dlog
+(encoding -> i) and the Zech array zech[i] = dlog(1 + g^i).  Encodings use
+window coordinates: g^i is the base-p number with digits
+(u_i, ..., u_(i+r-1)), where u is the impulse response of m, the minimal
+polynomial of g.  This is an F_p-linear coordinate system in which the
+constant c encodes as c, so adding 1 only bumps digit 0.  The power walk
+extends u by doubling steps over numpy slices, O(p^r * r) work.  The
+tables are int32 whenever p^r < 2^31.
 
 f is then evaluated at every x = g^i by Horner's rule on logs:
 multiplying by x adds i, and adding a nonzero constant costs one gather
@@ -45,7 +47,7 @@ from math import gcd, prod
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber
-from .gf import FieldExt
+from .gf import FieldExt, primitive_polynomial
 from .numtheory import divisors, factorize, is_prime, smallest_primitive_root, squarefree_subsets
 from .report import SKIP, VerificationReport, fmt_rational
 
@@ -144,14 +146,15 @@ class KummerCover:
 
 
 class _FieldTables:
-    """Discrete-log tables of F_(p^r) for its multiplicative generator g.
+    """Discrete-log tables of F_(p^r) for the generator g = x modulo
+    minpoly = gf.primitive_polynomial(p, r), the minimal polynomial of g.
 
     Elements are encoded in window coordinates: with u the impulse response
-    of the minimal polynomial of g (u_0 = 1, u_1..u_(r-1) = 0), g^i encodes
-    as the base-p number with digits (u_i, ..., u_(i+r-1)).  This is an
-    F_p-linear isomorphism F_(p^r) -> F_p^r that sends the constant c to c,
-    so the logs of constants, constant_root_of_unity and "add 1 = bump
-    digit 0" read the same as in the coefficient basis.
+    of minpoly (u_0 = 1, u_1..u_(r-1) = 0), g^i encodes as the base-p
+    number with digits (u_i, ..., u_(i+r-1)).  This is an F_p-linear
+    isomorphism F_(p^r) -> F_p^r that sends the constant c to c, so the
+    logs of constants, constant_root_of_unity and "add 1 = bump digit 0"
+    read the same as in the coefficient basis.
 
     enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
     zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
@@ -159,14 +162,14 @@ class _FieldTables:
     """
 
     def __init__(self, p: int, r: int):
-        field = FieldExt.create(p, r)
-        self.p, self.r, self.field = p, r, field
-        n = self.n = field.size - 1
-        g = self.g = field.multiplicative_generator()
-        u = _impulse_response(_minimal_polynomial(field, g), p, n + r - 1)
-        index = np.int32 if field.size < 2**31 else np.int64
+        self.p, self.r = p, r
+        self.minpoly = primitive_polynomial(p, r)
+        size = p**r
+        n = self.n = size - 1
+        u = _impulse_response(self.minpoly, p, n + r - 1)
+        index = np.int32 if size < 2**31 else np.int64
         enc_pow = np.empty(n, dtype=index)
-        dlog = np.full(field.size, -1, dtype=index)
+        dlog = np.full(size, -1, dtype=index)
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)
             enc = np.zeros(stop - start, dtype=index)
@@ -192,23 +195,6 @@ class _FieldTables:
         if enc >= self.p:
             raise AssertionError("root of unity is not a constant")
         return enc
-
-
-def _minimal_polynomial(field: FieldExt, g) -> tuple[int, ...]:
-    """Monic minimal polynomial of g over F_p, lowest degree first: the
-    product of t - g^(p^k) over the Frobenius orbit of g (r conjugates,
-    since a generator of F_(p^r)^x lies in no proper subfield)."""
-    zero = field.zero()
-    poly = [field.one()]
-    root = g
-    for _ in range(field.r):
-        # poly <- poly * (t - root)
-        poly = [field.sub(lower, field.mul(same, root))
-                for lower, same in zip([zero] + poly, poly + [zero])]
-        root = field.pow(root, field.p)
-    if any(any(c[1:]) for c in poly):
-        raise AssertionError("minimal polynomial has coefficients outside F_p")
-    return tuple(c[0] for c in poly)
 
 
 def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 Elements are coefficient tuples of length r (lowest degree first), or
 equivalently integers 0 <= n < p^r via base-p encoding.  The modulus is the
 monic irreducible polynomial of degree r whose non-leading coefficient
-vector has the smallest base-p encoding; the search is deterministic and
-the choice is verified by the gcd criterion with x^(p^i) - x.
+vector has the smallest base-p encoding.  The tables of the curve engine
+use primitive_polynomial instead: the first candidate in the same order in
+which x generates the multiplicative group.  Irreducibility is Ben-Or's
+gcd test.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import factorize, is_prime
+from .numtheory import factorize, is_prime, multiplicative_order
 
 
 # -- dense polynomials over F_p, lowest degree first, no trailing zeros ------
@@ -48,28 +50,17 @@ def poly_rem(a, m, p):
     return _trim(a)
 
 
-def poly_gcd(a, b, p):
-    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _poly_mod(a, b, p):
-    """a mod b over F_p for arbitrary nonzero b."""
+def _monic(a, p):
     a = _trim([x % p for x in a])
-    b = _trim([x % p for x in b])
-    inv = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        _trim(a)
+    inv = pow(a[-1], p - 2, p) if a else 0
+    return [(c * inv) % p for c in a]
+
+
+def poly_gcd(a, b, p):
+    """Monic gcd of a and b over F_p ([] when both are 0)."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(poly_rem(a, b, p), p)
     return a
 
 
@@ -85,48 +76,75 @@ def poly_pow_mod(base, exponent, modulus, p):
 
 
 def is_irreducible(m, p) -> bool:
-    """Monic m of degree r >= 1 irreducible over F_p, by the standard
-    x^(p^(r/l)) - x gcd criterion."""
+    """Monic m of degree r >= 1 irreducible over F_p, by Ben-Or's test:
+    gcd(x^(p^i) - x, m) = 1 for every i <= r/2.  A reducible m has an
+    irreducible factor of some degree i <= r/2, which divides x^(p^i) - x,
+    so most candidates fail at a small i.
+
+    >>> is_irreducible([1, 1, 1], 2), is_irreducible([1, 0, 1], 2)
+    (True, False)
+    >>> is_irreducible([1, 0, 0, 0, 1], 3)  # x^4 + 1 = (x^2 + x + 2)(x^2 + 2x + 2)
+    False
+    """
     r = len(m) - 1
     if r < 1 or m[-1] != 1:
         raise ValueError("monic polynomial of positive degree required")
-    x = poly_rem([0, 1], m, p)
-    frob = poly_pow_mod([0, 1], p**r, m, p)
-    if _trim([(a - b) % p for a, b in _zip0(frob, x)]) != []:
-        return False
-    for ell in factorize(r).primes:
-        sub = poly_pow_mod([0, 1], p ** (r // ell), m, p)
-        diff = _trim([(a - b) % p for a, b in _zip0(sub, x)])
+    frob = [0, 1]
+    for _ in range(r // 2):
+        frob = poly_pow_mod(frob, p, m, p)  # x^(p^i) mod m
+        diff = frob + [0] * (2 - len(frob))
+        diff[1] -= 1
         if poly_gcd(diff, m, p) != [1]:
             return False
     return True
 
 
-def _zip0(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+def _monic_candidates(p: int, r: int):
+    """Monic polynomials of degree r over F_p, lowest degree first, in
+    increasing base-p encoding of their non-leading coefficients."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if r < 1:
+        raise ValueError("degree must be >= 1")
+    return ([code // p**i % p for i in range(r)] + [1] for code in range(p**r))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, r: int) -> tuple[int, ...]:
     """Monic irreducible of degree r over F_p with the smallest base-p
     encoding of its non-leading coefficients."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r == 1:
-        return (0, 1)
-    for code in range(p**r):
-        tail = []
-        n = code
-        for _ in range(r):
-            tail.append(n % p)
-            n //= p
-        candidate = tail + [1]
-        if candidate[0] == 0:
-            continue  # divisible by x
-        if is_irreducible(candidate, p):
-            return tuple(candidate)
+    for m in _monic_candidates(p, r):
+        if is_irreducible(m, p):
+            return tuple(m)
     raise AssertionError("no irreducible polynomial found")
+
+
+def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
+    """The first monic m of degree r, in default_modulus's candidate order,
+    that is irreducible over F_p and in which x has multiplicative order
+    n = p^r - 1.  So m is the minimal polynomial of the generator x of
+    F_(p^r)^x = (F_p[x]/m)^x.
+
+    >>> primitive_polynomial(2, 4)  # x^4 + x + 1
+    (1, 1, 0, 0, 1)
+    >>> primitive_polynomial(3, 2), default_modulus(3, 2)  # x^2 + 1 has x^4 = 1
+    ((2, 1, 1), (1, 0, 1))
+    >>> primitive_polynomial(7, 1)  # x - 5: 5 generates F_7^x
+    (2, 1)
+    """
+    candidates = _monic_candidates(p, r)  # checks p and r before factorize(n)
+    n = p**r - 1
+    order_primes = factorize(n).primes
+    for m in candidates:
+        # (-1)^r m(0) is the norm of x (0 when x divides m).  The norm
+        # F_(p^r)^x -> F_p^x is onto, so it maps a generator to a generator:
+        # this integer test rejects most candidates before any polynomial
+        # arithmetic
+        norm = (-1) ** r * m[0] % p
+        if (norm and multiplicative_order(norm, p) == p - 1 and is_irreducible(m, p)
+                and all(poly_pow_mod([0, 1], n // ell, m, p) != [1] for ell in order_primes)):
+            return tuple(m)
+    raise AssertionError("no primitive polynomial found")
 
 
 @dataclass(frozen=True)
@@ -139,8 +157,6 @@ class FieldExt:
 
     @classmethod
     def create(cls, p: int, r: int) -> "FieldExt":
-        if r < 1:
-            raise ValueError("degree must be >= 1")
         return cls(p, r, default_modulus(p, r))
 
     def __post_init__(self):
@@ -210,13 +226,3 @@ class FieldExt:
 
     def is_zero(self, a) -> bool:
         return all(c == 0 for c in a)
-
-    def multiplicative_generator(self):
-        """Element of multiplicative order p^r - 1 with smallest encoding."""
-        n = self.size - 1
-        prime_divs = factorize(n).primes if n > 1 else ()
-        for code in range(1, self.size):
-            g = self.decode(code)
-            if all(self.pow(g, n // ell) != self.one() for ell in prime_divs):
-                return g
-        raise AssertionError("no generator found")

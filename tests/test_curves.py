@@ -26,7 +26,8 @@ from qlverify.curves import (
     zeta_series,
 )
 from qlverify.cyclotomic import CyclotomicNumber
-from qlverify.gf import FieldExt, default_modulus, is_irreducible
+from qlverify import gf
+from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
 from qlverify.numtheory import divisors
 
 
@@ -84,13 +85,56 @@ def test_field_arithmetic_sanity():
     for x in F.elements():
         if not F.is_zero(x):
             assert F.pow(x, F.size - 1) == one  # Fermat
-    g = F.multiplicative_generator()
+    G = FieldExt(3, 2, primitive_polynomial(3, 2))
     seen = set()
-    cur = one
-    for _ in range(F.size - 1):
+    cur = G.one()
+    for _ in range(G.size - 1):
         seen.add(cur)
-        cur = F.mul(cur, g)
-    assert len(seen) == F.size - 1
+        cur = G.mul(cur, (0, 1))  # x generates
+    assert len(seen) == G.size - 1
+
+
+def monic_polynomials(p, r):
+    """Every monic polynomial of degree r over F_p, lowest degree first, in
+    increasing base-p encoding of the non-leading coefficients."""
+    for code in range(p**r):
+        yield [code // p**i % p for i in range(r)] + [1]
+
+
+def test_is_irreducible_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for p in (2, 3, 5):
+        for r in range(1, 5):
+            for m in monic_polynomials(p, r):
+                expected = sympy.Poly(m[::-1], t, modulus=p).is_irreducible
+                assert is_irreducible(m, p) == expected, (p, m)
+
+
+def first_primitive_by_stepping(p, r):
+    """The first monic m in which the powers x^k mod m first return to 1
+    at k = p^r - 1, found by multiplying by x one step at a time."""
+    n = p**r - 1
+    one = [1] + [0] * (r - 1)
+    for m in monic_polynomials(p, r):
+        state, k = one, 0
+        while k < n:
+            top = state[-1]  # x * state = top * x^r + shifted, x^r = -m[:r]
+            state = [(lower - top * c) % p for lower, c in zip([0] + state[:-1], m)]
+            k += 1
+            if state == one:
+                break
+        if k == n and state == one:
+            return tuple(m)
+    raise AssertionError("no primitive polynomial")
+
+
+def test_primitive_polynomial_matches_brute_force():
+    for p in (2, 3, 5, 7):
+        for r in range(1, 5):
+            m = primitive_polynomial(p, r)
+            assert m == first_primitive_by_stepping(p, r), (p, r)
+            assert is_irreducible(list(m), p)
 
 
 def test_encode_decode_roundtrip():
@@ -189,12 +233,13 @@ def test_count_points_special_polynomials(f):
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2), (11, 1)])
 def test_tables_match_direct_field_arithmetic(p, r):
     t = _tables(p, r)
-    field = t.field
+    field = FieldExt(p, r, t.minpoly)
+    g = field.from_int(-t.minpoly[0]) if r == 1 else field.decode(p)  # x mod minpoly
     log_of = {}
     x = field.one()
     for i in range(t.n):
         log_of[x] = i
-        x = field.mul(x, t.g)
+        x = field.mul(x, g)
     assert len(log_of) == t.n and x == field.one()
     for i, x in enumerate(log_of):
         assert t.dlog[t.enc_pow[i]] == i
@@ -203,6 +248,21 @@ def test_tables_match_direct_field_arithmetic(p, r):
         assert t.dlog[c] == log_of[field.from_int(c)]  # constants encode as themselves
     assert t.dlog[0] == -1
     assert t.enc_pow.dtype == t.dlog.dtype == t.zech.dtype == np.int32
+
+
+def test_tables_need_no_field_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("field arithmetic on the table path")
+
+    monkeypatch.setattr(FieldExt, "mul", refuse)
+    monkeypatch.setattr(FieldExt, "create", refuse)
+    monkeypatch.setattr(gf, "default_modulus", refuse)
+    _tables.cache_clear()
+    for p, r in ((2, 4), (3, 3), (5, 1), (7, 2)):
+        t = _tables(p, r)
+        assert t.minpoly == primitive_polynomial(p, r)
+        assert t.dlog[t.enc_pow[t.n - 1]] == t.n - 1
+    assert _tables.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2), (13, 2), (131, 1)])

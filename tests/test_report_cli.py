@@ -96,6 +96,10 @@ def test_cli_usage_error_exit_2(tmp_path):
         assert code == 2
         assert "usage error" in err and "Traceback" not in err and out == ""
     assert not (tmp_path / "missing").exists()
+    missing_spec = str(tmp_path / "nosuch.json")
+    code, out, err = run_cli(["curves", "--spec", missing_spec])
+    assert (code, out) == (2, "")
+    assert "usage error" in err and missing_spec in err and "Traceback" not in err
 
 
 def test_cli_skip_only_run_counts_its_skips(capsys):

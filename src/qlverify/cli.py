@@ -152,17 +152,25 @@ def _field_spec(spec) -> dict:
     return spec
 
 
+def _json_arg(flag: str, text: str, from_file: bool = False):
+    """The JSON in text, or in the file it names; a parse error names the
+    flag and its argument, since a run may pass several of them."""
+    try:
+        if from_file:
+            with open(text) as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_cover_specs(args) -> list[dict]:
     if not args.spec:
         return [dict(s) for s in DEFAULT_COVERS]
     specs = []
     for text in args.spec:
-        stripped = text.strip()
-        if stripped.startswith("{") or stripped.startswith("["):
-            loaded = json.loads(stripped)
-        else:
-            with open(text) as fh:
-                loaded = json.load(fh)
+        inline = text.strip().startswith(("{", "["))
+        loaded = _json_arg("--spec", text, from_file=not inline)
         specs.extend(loaded if isinstance(loaded, list) else [loaded])
     return [_cover_spec(spec) for spec in specs]
 
@@ -183,7 +191,7 @@ def main(argv=None) -> int:
                     raise ValueError(f"--max-field-size must be >= 1, got {args.max_field_size}")
                 report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
             else:
-                fields = [_field_spec(json.loads(text)) for text in args.field]
+                fields = [_field_spec(_json_arg("--field", text)) for text in args.field]
                 report = run_dirichlet(args.N_max, args.n_max, fields)
         except (ValueError, OSError, KeyError) as exc:
             parser.exit(2, f"usage error: {type(exc).__name__}: {exc}\n")

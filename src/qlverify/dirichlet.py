@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, prod
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm, prod
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _element, _reduce
 from .numtheory import (
     divisors,
     euler_phi,
@@ -109,7 +109,9 @@ class DirichletCharacter:
         if any(not 0 <= c < o for c, (_, o) in zip(self.exponents, gens)):
             raise ValueError("exponent out of range")
 
-    @property
+    # cached_property stores into the instance __dict__, which the frozen
+    # dataclass allows; fields, __eq__, __hash__ and repr stay as they are.
+    @cached_property
     def order(self) -> int:
         n = 1
         for c, (_, o) in zip(self.exponents, unit_group(self.modulus)):
@@ -117,21 +119,22 @@ class DirichletCharacter:
             n = n * t // gcd(n, t)
         return n
 
+    @cached_property
+    def _scales(self) -> tuple[int, ...]:
+        """c * order / o per generator: chi(g_i) = zeta_order^(scale_i)."""
+        n = self.order
+        return tuple((c * n) // o for c, (_, o) in zip(self.exponents, unit_group(self.modulus)))
+
     @property
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.exponents)
 
     def value_exponent(self, a: int):
         """e with chi(a) = zeta_order^e, or None when gcd(a, N) > 1."""
-        table = _unit_dlog_table(self.modulus)
-        key = a % self.modulus
-        if key not in table:
+        xs = _unit_dlog_table(self.modulus).get(a % self.modulus)
+        if xs is None:
             return None
-        n = self.order
-        e = 0
-        for x, c, (_, o) in zip(table[key], self.exponents, unit_group(self.modulus)):
-            e += x * ((c * n) // o)
-        return e % n
+        return sum(x * s for x, s in zip(xs, self._scales)) % self.order
 
     def value(self, a: int) -> CyclotomicNumber:
         e = self.value_exponent(a)
@@ -163,6 +166,7 @@ class DirichletCharacter:
         )
 
 
+@lru_cache(maxsize=None)
 def all_characters(N: int) -> tuple[DirichletCharacter, ...]:
     gens = unit_group(N)
     return tuple(
@@ -213,29 +217,39 @@ def bernoulli_polynomial(k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
-    """B_(k,chi) = f^(k-1) sum_(a=1..f) chi(a) B_k(a/f) for primitive chi mod f."""
+    """B_(k,chi) = f^(k-1) sum_(a=1..f) chi(a) B_k(a/f) for primitive chi mod f.
+
+    Summed on integers: with B_k(x) = sum_i c_i x^i,
+    f^(k-1) B_k(a/f) = (1/f) sum_i c_i f^(k-i) a^i, so residues sharing the
+    exponent e of chi(a) = zeta^e contribute only through their power sums
+    sum a^i, i <= k.
+
+    >>> generalized_bernoulli(DirichletCharacter(5, (2,)), 2).as_rational()
+    Fraction(4, 5)
+    >>> generalized_bernoulli(DirichletCharacter(4, (1,)), 1).as_rational()
+    Fraction(-1, 2)
+    """
     if k < 1:
         raise ValueError("positive k required")
     f = chi.modulus
     cond, _ = conductor_and_primitivize(chi)
     if cond != f:
         raise ValueError("primitive character required")
-    bk = bernoulli_polynomial(k)
     n = chi.order
-    total = CyclotomicNumber.rational(n, 0)
+    power_sums = [[0] * (k + 1) for _ in range(n)]
     for a in range(1, f + 1):
         e = chi.value_exponent(a)
         if e is not None:
-            total = total + CyclotomicNumber.zeta(n, e) * _eval_poly(bk, Fraction(a, f))
-    return total * Fraction(f) ** (k - 1)
+            row, x = power_sums[e], 1
+            for i in range(k + 1):
+                row[i] += x
+                x *= a
+    weights = [c * f ** (k - i) for i, c in enumerate(bernoulli_polynomial(k))]
+    den = lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (den // w.denominator) for w in weights]
+    vec = [sum(w * s for w, s in zip(weights, row)) for row in power_sums]
+    return _element(n, _reduce(n, vec), den * f)
 
 
 @lru_cache(maxsize=None)

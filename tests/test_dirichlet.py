@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
+from qlverify.cyclotomic import CyclotomicNumber
 from qlverify.dirichlet import (
     DirichletCharacter,
     all_characters,
@@ -66,6 +68,27 @@ def test_character_parity_flag():
     assert DirichletCharacter(12, (0, 0)).is_even
 
 
+def test_equal_characters_compare_hash_and_print_alike():
+    a, b = DirichletCharacter(12, (1, 1)), DirichletCharacter(12, (1, 1))
+    assert a.order == 2 and a.value_exponent(5) == 1  # fills a's cached attributes only
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "DirichletCharacter(modulus=12, exponents=(1, 1))"
+    assert a != DirichletCharacter(12, (1, 0))
+    assert all_characters(12) is all_characters(12)
+    assert b in all_characters(12)
+
+
+def test_order_is_smallest_annihilator_of_the_values():
+    for N in range(1, 41):
+        us = units(N)
+        for chi in all_characters(N):
+            exps = [chi.value_exponent(a) for a in us]
+            t = 1
+            while any(t * e % chi.order for e in exps):
+                t += 1
+            assert t == chi.order, (N, chi.exponents)
+
+
 def test_conductor_examples():
     assert conductor_and_primitivize(DirichletCharacter(12, (0, 0)))[0] == 1
     f, prim = conductor_and_primitivize(DirichletCharacter(10, (2,)))
@@ -113,6 +136,64 @@ def test_generalized_bernoulli_examples():
     assert generalized_bernoulli(quad5, 2).as_rational() == Fraction(4, 5)
     with pytest.raises(ValueError):
         generalized_bernoulli(DirichletCharacter(10, (2,)), 2)  # not primitive
+
+
+@lru_cache(maxsize=None)
+def _scaled_bernoulli_values(f, k):
+    """f^(k-1) B_k(a/f) for a = 1..f, each by Horner's rule in Fractions."""
+    bk = bernoulli_polynomial(k)
+    out = []
+    for a in range(1, f + 1):
+        x, value = Fraction(a, f), Fraction(0)
+        for c in reversed(bk):
+            value = value * x + c
+        out.append(value * f ** (k - 1))
+    return tuple(out)
+
+
+def _bernoulli_by_residues(chi, k):
+    """sum_(a=1..f) chi(a) f^(k-1) B_k(a/f), one term per residue a, added
+    onto the coefficient of zeta^e where chi(a) = zeta^e."""
+    coeffs = [Fraction(0)] * chi.order
+    for a, value in enumerate(_scaled_bernoulli_values(chi.modulus, k), 1):
+        e = chi.value_exponent(a)
+        if e is not None:
+            coeffs[e] += value
+    return CyclotomicNumber.from_coeffs(chi.order, coeffs)
+
+
+def test_generalized_bernoulli_matches_per_residue_sum():
+    checked = 0
+    for f in range(1, 41):
+        for chi in all_characters(f):
+            if conductor_and_primitivize(chi)[0] != f:
+                continue
+            for k in range(1, 9):
+                assert generalized_bernoulli(chi, k) == _bernoulli_by_residues(chi, k), (f, chi, k)
+            checked += 1
+    assert checked == 285
+
+
+# h(D) of the imaginary quadratic fundamental discriminants |D| <= 95, from
+# the standard class-number tables
+CLASS_NUMBERS = {
+    -3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -19: 1, -20: 2, -23: 3, -24: 2,
+    -31: 3, -35: 2, -39: 4, -40: 2, -43: 1, -47: 5, -51: 2, -52: 2, -55: 4, -56: 4,
+    -59: 3, -67: 1, -68: 4, -71: 7, -79: 5, -83: 3, -84: 4, -87: 6, -88: 2, -91: 2,
+    -95: 8,
+}
+
+
+def test_class_number_formula():
+    # h(D) = -(w/2) B_(1,chi_D), chi_D the odd primitive quadratic character mod |D|
+    for D, h in CLASS_NUMBERS.items():
+        f = -D
+        (chi,) = [
+            chi for chi in all_characters(f)
+            if chi.order == 2 and chi.is_odd and conductor_and_primitivize(chi)[0] == f
+        ]
+        w = {-3: 6, -4: 4}.get(D, 2)
+        assert -Fraction(w, 2) * generalized_bernoulli(chi, 1).as_rational() == h, D
 
 
 def test_l_value_examples():

@@ -100,6 +100,16 @@ def test_cli_usage_error_exit_2(tmp_path):
     code, out, err = run_cli(["curves", "--spec", missing_spec])
     assert (code, out) == (2, "")
     assert "usage error" in err and missing_spec in err and "Traceback" not in err
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text("not json")
+    for bad, name in (
+        (["curves", "--spec", str(bad_spec)], str(bad_spec)),
+        (["curves", "--spec", '{"p": 3,'], '{"p": 3,'),
+        (["dirichlet", "--field", "not json"], "not json"),
+    ):
+        code, out, err = run_cli(bad)
+        assert (code, out) == (2, "")
+        assert "usage error" in err and name in err and "Traceback" not in err
 
 
 def test_cli_skip_only_run_counts_its_skips(capsys):

@@ -9,6 +9,10 @@ primitive character: primitivization is always applied first, which is
 what makes the zeta factorization of an abelian field exact rather than
 exact-up-to-Euler-factors.
 
+Each character's kernel is computed once, and the subgroup tests of the
+abelian-field layer are set operations on it: H <= kernel for the fixed
+field of H, kernel == H for a faithful character of (Z/N)^x / H.
+
 Residues are kept in [0, N); for N = 1 the unit group is the single
 residue 0, which keeps every formula degenerate-safe.
 """
@@ -150,10 +154,13 @@ class DirichletCharacter:
     def is_odd(self) -> bool:
         return not self.is_even
 
-    def is_trivial_on(self, subgroup) -> bool:
-        return all(self.value_exponent(h) == 0 for h in subgroup)
-
+    @cached_property
     def kernel(self) -> frozenset[int]:
+        """The units a mod N with chi(a) = 1.
+
+        >>> sorted(DirichletCharacter(5, (2,)).kernel)
+        [1, 4]
+        """
         return frozenset(a for a in units(self.modulus) if self.value_exponent(a) == 0)
 
     def compose_galois(self, j: int) -> "DirichletCharacter":
@@ -180,7 +187,7 @@ def conductor_and_primitivize(chi: DirichletCharacter) -> tuple[int, DirichletCh
     """Smallest f | N through which chi factors, and the character mod f."""
     N = chi.modulus
     for f in divisors(N):
-        if all(chi.value_exponent(a) == 0 for a in units(N) if a % f == 1 % f):
+        if all(a in chi.kernel for a in units(N) if a % f == 1 % f):
             break
     # build the mod-f character: evaluate chi on lifts coprime to N
     gens_f = unit_group(f)
@@ -308,26 +315,19 @@ def _validate_subgroup(N: int, H) -> frozenset[int]:
     return H
 
 
-def quotient_is_cyclic(N: int, H) -> bool:
-    H = _validate_subgroup(N, H)
-    index = euler_phi(N) // len(H)
-    return any(_order_in_quotient(N, a, H) == index for a in units(N))
-
-
-def _order_in_quotient(N: int, a: int, H) -> int:
-    t, x = 1, a % N
-    while x not in H:
-        x = (x * a) % N
-        t += 1
-    return t
-
-
 def characters_with_kernel(N: int, H) -> tuple[DirichletCharacter, ...]:
-    index = euler_phi(N) // len(H)
-    return tuple(
-        chi for chi in all_characters(N)
-        if chi.is_trivial_on(H) and chi.order == index
-    )
+    """The faithful characters of (Z/N)^x / H: those with kernel exactly H."""
+    H = _validate_subgroup(N, H)
+    return tuple(chi for chi in all_characters(N) if chi.kernel == H)
+
+
+def quotient_is_cyclic(N: int, H) -> bool:
+    """(Z/N)^x / H is cyclic exactly when some character has kernel exactly H.
+
+    >>> quotient_is_cyclic(24, {1, 23}), quotient_is_cyclic(8, {1, 7})
+    (False, True)
+    """
+    return bool(characters_with_kernel(N, H))
 
 
 def field_degree(N: int, H) -> int:
@@ -350,8 +350,7 @@ def dedekind_zeta_abelian(N: int, H, s: int) -> Fraction:
     k = 1 - s
     if k < 2:
         raise ValueError("k >= 2 required (the trivial character hits the excluded k = 1)")
-    chars = [chi for chi in all_characters(N) if chi.is_trivial_on(H)]
-    values = [dirichlet_l_value(chi, s) for chi in chars]
+    values = [dirichlet_l_value(chi, s) for chi in all_characters(N) if H <= chi.kernel]
     level = 1
     for v in values:
         level = level * v.level // gcd(level, v.level)
@@ -376,7 +375,8 @@ def verify_norm_identity_numberfield(N: int, H, n: int) -> VerificationReport:
     H = _validate_subgroup(N, H)
     if (N - 1) % N not in H:
         raise ValueError("-1 must lie in H (totally real fixed field required)")
-    if not quotient_is_cyclic(N, H):
+    chars = characters_with_kernel(N, H)
+    if not chars:
         raise ValueError("quotient by H must be cyclic")
     if n < 1:
         raise ValueError("positive n required")
@@ -384,9 +384,7 @@ def verify_norm_identity_numberfield(N: int, H, n: int) -> VerificationReport:
     case = f"numfield N={N} H={sorted(H)} n={n}"
     rep = VerificationReport()
     s = 1 - 2 * n
-    chars = characters_with_kernel(N, H)
-    chi = chars[0]
-    lhs = dirichlet_l_value(chi, s).norm_to_Q()
+    lhs = dirichlet_l_value(chars[0], s).norm_to_Q()
     rhs = Fraction(1)
     for subset, sign in squarefree_subsets(factorize(m).primes):
         z = dedekind_zeta_abelian(N, _subgroup_chain(N, H, prod(subset)), s)
@@ -410,14 +408,15 @@ def verify_order_identity(N: int, H, k: int) -> VerificationReport:
     """phi(m) * ord L(chi, 1-k) against the alternating sum of zeta orders
     over the subgroup chain; chi primitive on the cyclic quotient by H."""
     H = _validate_subgroup(N, H)
-    if not quotient_is_cyclic(N, H):
+    chars = characters_with_kernel(N, H)
+    if not chars:
         raise ValueError("quotient by H must be cyclic")
     if k < 2:
         raise ValueError("k >= 2 required")
     m = field_degree(N, H)
     case = f"numfield N={N} H={sorted(H)} k={k}"
     rep = VerificationReport()
-    chi = characters_with_kernel(N, H)[0]
+    chi = chars[0]
     parity_match = (chi.is_even and k % 2 == 0) or (chi.is_odd and k % 2 == 1)
     ord_l = 0 if parity_match else 1
     lhs = euler_phi(m) * ord_l

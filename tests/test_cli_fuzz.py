@@ -36,6 +36,9 @@ FIELD_SPECS = st.sampled_from([
     '{"modulus":5,"subgroup":[1,4]}',
     '{"modulus":5,"subgroup":[1]}',
     '{"modulus":7,"subgroup":[1,2,4]}',
+    '{"modulus":24,"subgroup":[1,23]}',
+    '{"modulus":5,"subgroup":[1,2]}',
+    '{"modulus":5,"subgroup":[1,9]}',
     '{"modulus":1,"subgroup":[0]}',
     '{"modulus":0,"subgroup":[0]}',
     '{"modulus":5,"subgroup":[1,4],"x":1}',

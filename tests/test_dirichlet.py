@@ -304,14 +304,17 @@ def test_norm_identity_rejects_complex_fields():
 
 
 def test_norm_identity_rejects_noncyclic_quotient():
-    H = frozenset({1, 7})  # (Z/8)^x / {1, 7} has exponent 2... order 2: cyclic
-    assert quotient_is_cyclic(8, H)
-    full8 = frozenset({1, 3, 5, 7})
+    assert quotient_is_cyclic(8, frozenset({1, 7}))  # (Z/8)^x / {1, 7} has order 2: cyclic
+    assert quotient_is_cyclic(8, frozenset({1, 3, 5, 7}))
     # quotient by the trivial subgroup of (Z/8)^x is C2 x C2: not cyclic
     assert not quotient_is_cyclic(8, frozenset({1}))
-    with pytest.raises(ValueError):
-        verify_norm_identity_numberfield(8, {1}, 1)
-    assert quotient_is_cyclic(8, full8)
+    with pytest.raises(ValueError, match="quotient by H must be cyclic"):
+        verify_order_identity(8, {1}, 2)
+    # {1, 23} contains -1, so the norm identity gets past the real-field
+    # check and meets (Z/24)^x / {1, 23} = C2 x C2
+    assert not quotient_is_cyclic(24, frozenset({1, 23}))
+    with pytest.raises(ValueError, match="quotient by H must be cyclic"):
+        verify_norm_identity_numberfield(24, {1, 23}, 1)
 
 
 def test_characters_with_kernel():
@@ -319,6 +322,60 @@ def test_characters_with_kernel():
     assert len(chars) == 1 and chars[0].order == 2
     chars = characters_with_kernel(7, frozenset({1, 6}))
     assert len(chars) == 2 and all(c.order == 3 for c in chars)
+    # a plain set, and residues not yet reduced mod N (9 = 4 mod 5)
+    quad5 = DirichletCharacter(5, (2,))
+    assert characters_with_kernel(5, {1, 4}) == characters_with_kernel(5, {1, 9}) == (quad5,)
+    with pytest.raises(ValueError):
+        characters_with_kernel(5, {1, 2})  # not closed
+
+
+def _cyclic_by_element_orders(N, H):
+    """Some unit has order [(Z/N)^x : H] in the quotient by H."""
+    index = euler_phi(N) // len(H)
+    for a in units(N):
+        t, x = 1, a
+        while x not in H:
+            x, t = (x * a) % N, t + 1
+        if t == index:
+            return True
+    return False
+
+
+def test_kernel_filters_match_element_oracles():
+    outcomes = set()
+    for N in range(1, 41):
+        for chi in all_characters(N):
+            assert len(chi.kernel) == euler_phi(N) // chi.order, (N, chi)
+        for H in all_subgroups(N):
+            index = euler_phi(N) // len(H)
+            expected = tuple(
+                chi for chi in all_characters(N)
+                if all(chi.value_exponent(h) == 0 for h in H) and chi.order == index
+            )
+            assert characters_with_kernel(N, H) == expected, (N, sorted(H))
+            cyclic = _cyclic_by_element_orders(N, H)
+            assert quotient_is_cyclic(N, H) == cyclic, (N, sorted(H))
+            outcomes.add(cyclic)
+    assert outcomes == {True, False}
+
+
+def test_kernel_questions_evaluate_each_character_once_per_unit(monkeypatch):
+    calls = 0
+    original = DirichletCharacter.value_exponent
+
+    def counted(self, a):
+        nonlocal calls
+        calls += 1
+        return original(self, a)
+
+    subgroups = all_subgroups(40)
+    assert len(subgroups) == 27
+    all_characters.cache_clear()  # fresh characters: no kernel cached yet
+    monkeypatch.setattr(DirichletCharacter, "value_exponent", counted)
+    for H in subgroups:
+        characters_with_kernel(40, H)
+        quotient_is_cyclic(40, H)
+    assert calls <= euler_phi(40) ** 2
 
 
 def test_zeta_order_examples():

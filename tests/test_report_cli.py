@@ -91,6 +91,8 @@ def test_cli_usage_error_exit_2(tmp_path):
         ["curves", "--spec", '{"p":3,"d":2,"f":[1,1]}', "--order", "50"],
         ["curves", "--spec", '{"p":3,"d":2,"f":[1,1],"x":1}'],
         ["dirichlet", "--field", '{"modulus":5,"subgroup":[1,4],"x":1}'],
+        ["dirichlet", "--N-max", "0", "--field", '{"modulus":24,"subgroup":[1,23]}'],
+        ["dirichlet", "--N-max", "0", "--field", '{"modulus":5,"subgroup":[1,2]}'],
     ):
         code, out, err = run_cli(bad)
         assert code == 2

@@ -10,8 +10,11 @@ One Smith reduction per lattice: `_solve` reduces a matrix once and reads
 off both an integer solution for a whole block of target columns and a
 basis of the kernel.  solve_integer, integer_kernel, relations_contain and
 cohomology all go through it, so no lattice is reduced once per column.
-The one shortcut: membership in a one-generator presentation is
-divisibility by the gcd of its relation row.
+The one shortcut: when every relation column has at most one nonzero
+entry (a diagonal presentation, such as every term of a Moore or Cech
+complex, with its columns in any order or repeated), membership is
+divisibility of each row by the gcd of its relation row, so building
+those complexes makes no Smith reduction.
 
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
@@ -21,12 +24,9 @@ entirely adequate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-
-from .numtheory import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -87,38 +87,11 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, out)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(-x for x in r) for r in self.data))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)),
-        )
-
     def apply(self, vec) -> tuple[int, ...]:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
-    @staticmethod
-    def block_diagonal(blocks) -> "IntMatrix":
-        blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        data = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    data[r0 + i][c0 + j] = b.data[i][j]
-            r0 += b.rows
-            c0 += b.cols
-        return IntMatrix.from_rows(data, cols)
 
 
 def _coerce(M) -> IntMatrix:
@@ -303,22 +276,11 @@ class FgAbelianGroup:
         return cls(0, ())
 
     def direct_sum(self, *others: "FgAbelianGroup") -> "FgAbelianGroup":
-        # recombine via elementary divisors so the divisibility chain holds
-        rank = self.rank + sum(g.rank for g in others)
-        exps: dict[int, list[int]] = {}
-        for g in (self, *others):
-            for d in g.invariant_factors:
-                for p, e in factorize(d).factors:
-                    exps.setdefault(p, []).append(e)
-        for lst in exps.values():
-            lst.sort(reverse=True)
-        factors = []
-        for parts in itertools.zip_longest(
-            *[[p**e for e in lst] for p, lst in sorted(exps.items())], fillvalue=1
-        ):
-            factors.append(prod(parts))
-        factors.sort()
-        return FgAbelianGroup(rank, tuple(factors))
+        groups = (self, *others)
+        orders = [0] * sum(g.rank for g in groups)
+        for g in groups:
+            orders.extend(g.invariant_factors)
+        return PresentedAbelianGroup.diagonal(orders).normal_form()
 
     def __str__(self):
         pieces = ["Z"] * self.rank + [f"Z/{d}" for d in self.invariant_factors]
@@ -340,17 +302,22 @@ class PresentedAbelianGroup:
             raise ValueError("relation matrix must have one row per generator")
 
     @classmethod
-    def free(cls, n: int) -> "PresentedAbelianGroup":
-        return cls(n, IntMatrix.zero(n, 0))
+    def diagonal(cls, orders) -> "PresentedAbelianGroup":
+        """Z^len(orders) modulo orders[i] e_i: the direct sum of the cyclic
+        groups Z/orders[i], where an order of 0 gives Z and no relation.
 
-    @classmethod
-    def cyclic(cls, n: int) -> "PresentedAbelianGroup":
-        """One generator with relation n (n = 0 presents Z, n = 1 the trivial group)."""
-        if n < 0:
-            raise ValueError("nonnegative order required")
-        if n == 0:
-            return cls.free(1)
-        return cls(1, IntMatrix.from_rows([[n]]))
+        >>> G = PresentedAbelianGroup.diagonal([4, 0, 6])
+        >>> G.relations.data
+        ((4, 0), (0, 0), (0, 6))
+        >>> print(G.normal_form())
+        Z x Z/2 x Z/12
+        """
+        orders = [int(n) for n in orders]
+        if any(n < 0 for n in orders):
+            raise ValueError("nonnegative orders required")
+        cols = [j for j, n in enumerate(orders) if n]
+        return cls(len(orders), IntMatrix(len(orders), len(cols), tuple(
+            tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders))))
 
     @classmethod
     def from_relation_rows(cls, n_generators: int, rows) -> "PresentedAbelianGroup":
@@ -365,18 +332,14 @@ class PresentedAbelianGroup:
             tuple(sorted(d for d in nonzero if d >= 2)),
         )
 
-    def direct_sum(self, *others: "PresentedAbelianGroup") -> "PresentedAbelianGroup":
-        groups = (self, *others)
-        return PresentedAbelianGroup(
-            sum(g.n_generators for g in groups),
-            IntMatrix.block_diagonal([g.relations for g in groups]),
-        )
-
     def relations_contain(self, mat: IntMatrix) -> bool:
         """Whether every column of mat lies in the relation lattice."""
-        if self.n_generators == 1:
-            g = gcd(*self.relations.data[0])
-            return all(x % g == 0 if g else x == 0 for x in mat.data[0])
+        rel = self.relations.data
+        if all(sum(map(bool, col)) <= 1 for col in zip(*rel)):
+            # each relator lies on one axis: the lattice is the sum of the
+            # gcd(row i) e_i, so membership is divisibility row by row
+            gcds = [gcd(*row) for row in rel]
+            return all(x % g == 0 if g else x == 0 for g, targets in zip(gcds, mat.data) for x in targets)
         return _solve(self.relations, mat)[0] is not None
 
 

@@ -153,8 +153,8 @@ class _FieldTables:
     of minpoly (u_0 = 1, u_1..u_(r-1) = 0), g^i encodes as the base-p
     number with digits (u_i, ..., u_(i+r-1)).  This is an F_p-linear
     isomorphism F_(p^r) -> F_p^r that sends the constant c to c, so the
-    logs of constants, constant_root_of_unity and "add 1 = bump digit 0"
-    read the same as in the coefficient basis.
+    logs of constants (dlog[c]) and "add 1 = bump digit 0" read the same
+    as in the coefficient basis.
 
     enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
     zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
@@ -188,13 +188,6 @@ class _FieldTables:
             plus_one = enc_pow[start:stop] + 1 - p * (u[start:stop] == p - 1).astype(index)
             zech[start:stop] = np.take(dlog, plus_one)
         self.enc_pow, self.dlog, self.zech = enc_pow, dlog, zech
-
-    def constant_root_of_unity(self, e: int) -> int:
-        """g_field^(n/e) as an integer in F_p (it lies in mu_e <= F_p^x)."""
-        enc = int(self.enc_pow[self.n // e]) if e > 1 else 1
-        if enc >= self.p:
-            raise AssertionError("root of unity is not a constant")
-        return enc
 
 
 def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarray:
@@ -312,17 +305,15 @@ def _residue_histogram_mod(p, r, f, d) -> list[int]:
 
 
 def _power_residue_unit(t: _FieldTables, g_p: int, e: int) -> int:
-    """u0 with g_field^(n/e) = (g_p^((p-1)/e))^u0 in F_p; gcd(u0, e) = 1."""
-    if e == 1:
-        return 0
-    w = t.constant_root_of_unity(e)
-    v = pow(g_p, (t.p - 1) // e, t.p)
-    acc = 1
-    for u0 in range(e):
-        if acc == w:
-            return u0
-        acc = (acc * v) % t.p
-    raise AssertionError("not a power of the reference root of unity")
+    """u0 with g_field^(n/e) = (g_p^((p-1)/e))^u0 in F_p; gcd(u0, e) = 1.
+
+    The generator g_p of F_p^x is g_field^(k n/(p-1)) with gcd(k, p-1) = 1,
+    so g_p^((p-1)/e) = g_field^(k n/e) and u0 = k^(-1) mod e.
+    """
+    k, rest = divmod(int(t.dlog[g_p]), t.n // (t.p - 1))
+    if rest:
+        raise AssertionError("constant's log is not a multiple of n/(p-1)")
+    return pow(k, -1, e)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,11 @@ def _validate_subgroup(N: int, H) -> frozenset[int]:
 
 def characters_with_kernel(N: int, H) -> tuple[DirichletCharacter, ...]:
     """The faithful characters of (Z/N)^x / H: those with kernel exactly H."""
-    H = _validate_subgroup(N, H)
+    return _characters_with_kernel(N, _validate_subgroup(N, H))
+
+
+def _characters_with_kernel(N: int, H: frozenset[int]) -> tuple[DirichletCharacter, ...]:
+    # H is a reduced subgroup: a public caller has validated it
     return tuple(chi for chi in all_characters(N) if chi.kernel == H)
 
 
@@ -346,7 +350,12 @@ def signature(N: int, H) -> tuple[int, int]:
 def dedekind_zeta_abelian(N: int, H, s: int) -> Fraction:
     """zeta of the fixed field of H at s = 1 - k <= -1, as the product of
     the L-values of the characters trivial on H (each primitivized)."""
-    H = _validate_subgroup(N, H)
+    return _dedekind_zeta(N, _validate_subgroup(N, H), s)
+
+
+def _dedekind_zeta(N: int, H: frozenset[int], s: int) -> Fraction:
+    # H is a reduced subgroup: a public caller has validated it, or
+    # _subgroup_chain built it
     k = 1 - s
     if k < 2:
         raise ValueError("k >= 2 required (the trivial character hits the excluded k = 1)")
@@ -375,7 +384,7 @@ def verify_norm_identity_numberfield(N: int, H, n: int) -> VerificationReport:
     H = _validate_subgroup(N, H)
     if (N - 1) % N not in H:
         raise ValueError("-1 must lie in H (totally real fixed field required)")
-    chars = characters_with_kernel(N, H)
+    chars = _characters_with_kernel(N, H)
     if not chars:
         raise ValueError("quotient by H must be cyclic")
     if n < 1:
@@ -387,7 +396,7 @@ def verify_norm_identity_numberfield(N: int, H, n: int) -> VerificationReport:
     lhs = dirichlet_l_value(chars[0], s).norm_to_Q()
     rhs = Fraction(1)
     for subset, sign in squarefree_subsets(factorize(m).primes):
-        z = dedekind_zeta_abelian(N, _subgroup_chain(N, H, prod(subset)), s)
+        z = _dedekind_zeta(N, _subgroup_chain(N, H, prod(subset)), s)
         rhs *= z if sign == 1 else 1 / z
     rep.check(case, "norm_identity", "norm_of_L|moebius_dedekind_zeta",
               lhs, rhs, render=fmt_rational)
@@ -408,7 +417,7 @@ def verify_order_identity(N: int, H, k: int) -> VerificationReport:
     """phi(m) * ord L(chi, 1-k) against the alternating sum of zeta orders
     over the subgroup chain; chi primitive on the cyclic quotient by H."""
     H = _validate_subgroup(N, H)
-    chars = characters_with_kernel(N, H)
+    chars = _characters_with_kernel(N, H)
     if not chars:
         raise ValueError("quotient by H must be cyclic")
     if k < 2:
@@ -435,7 +444,7 @@ def predict_k_ratio(N: int, H, n: int) -> tuple[Fraction, VerificationReport]:
     if (N - 1) % N not in H:
         raise ValueError("-1 must lie in H (totally real field required)")
     r1, _ = signature(N, H)
-    value = dedekind_zeta_abelian(N, H, 1 - 2 * n) / Fraction((-1) ** n * 2) ** r1
+    value = _dedekind_zeta(N, H, 1 - 2 * n) / Fraction((-1) ** n * 2) ** r1
     rep = VerificationReport()
     rep.add(
         f"numfield N={N} H={sorted(H)} n={n}",

@@ -90,10 +90,7 @@ def _cech_complex(labels, order_of: Callable[[tuple], int],
     labels = tuple(sorted(labels))
     n = len(labels)
     subsets_by_size = [list(itertools.combinations(labels, size)) for size in range(n, -1, -1)]
-    terms = tuple(
-        PresentedAbelianGroup.direct_sum(*(PresentedAbelianGroup.cyclic(order_of(S)) for S in subsets))
-        for subsets in subsets_by_size
-    )
+    terms = tuple(PresentedAbelianGroup.diagonal(map(order_of, subsets)) for subsets in subsets_by_size)
 
     def entry(S, T) -> int:
         if not set(T) <= set(S):

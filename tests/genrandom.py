@@ -57,17 +57,8 @@ def random_finite_complex(rng: random.Random) -> BoundedComplex:
     terms = []
     diffs = []
     for pos in range(length):
-        gens = []
-        rels = []
-        for start, orders, _ in chains:
-            if start <= pos < start + len(orders):
-                gens.append(1)
-                rels.append(orders[pos - start])
-        n = len(gens)
-        terms.append(
-            PresentedAbelianGroup(n, IntMatrix.block_diagonal(
-                [IntMatrix.from_rows([[r]]) for r in rels]) if n else IntMatrix.zero(0, 0))
-        )
+        terms.append(PresentedAbelianGroup.diagonal(
+            orders[pos - start] for start, orders, _ in chains if start <= pos < start + len(orders)))
     for pos in range(length - 1):
         src_idx = [c for c in range(n_chains)
                    if chains[c][0] <= pos < chains[c][0] + len(chains[c][1])]

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,6 +20,8 @@ from qlverify.abelian import (
     smith_normal_form,
     solve_integer,
 )
+from qlverify.equivariant import CyclicMackeyData, cyclic_cech_complex, moore_cochain_complex
+from qlverify.numtheory import divisors, factorize
 
 
 def fraction_det(M: IntMatrix) -> Fraction:
@@ -178,11 +182,23 @@ def test_fg_group_invariants():
 
 
 def test_normal_form_examples():
-    assert PresentedAbelianGroup.cyclic(12).normal_form() == FgAbelianGroup.cyclic(12)
-    assert PresentedAbelianGroup.cyclic(1).normal_form().is_trivial
-    assert PresentedAbelianGroup.free(2).normal_form() == FgAbelianGroup(2, ())
+    assert PresentedAbelianGroup.diagonal([12]).normal_form() == FgAbelianGroup.cyclic(12)
+    assert PresentedAbelianGroup.diagonal([1]).normal_form().is_trivial
+    assert PresentedAbelianGroup.diagonal([0, 0]).normal_form() == FgAbelianGroup(2, ())
     g = PresentedAbelianGroup.from_relation_rows(2, [[2, 0], [0, 3]]).normal_form()
     assert g == FgAbelianGroup(0, (6,))
+
+
+def test_diagonal_presentation():
+    # an order of 0 is a free Z with no relation column; 1 keeps its column
+    G = PresentedAbelianGroup.diagonal([0, 1, 4])
+    assert G.n_generators == 3
+    assert G.relations.data == ((0, 0), (1, 0), (0, 4))
+    assert G.normal_form() == FgAbelianGroup(1, (4,))
+    assert PresentedAbelianGroup.diagonal([]).normal_form().is_trivial
+    assert PresentedAbelianGroup.diagonal([0]).relations.cols == 0
+    with pytest.raises(ValueError):
+        PresentedAbelianGroup.diagonal([3, -2])
 
 
 def test_normal_form_idempotent_and_order_multiplicative():
@@ -195,28 +211,50 @@ def test_normal_form_idempotent_and_order_multiplicative():
         )
         g = PresentedAbelianGroup(n, rel).normal_form()
         # idempotence: re-presenting the normal form reproduces it
-        rel2 = IntMatrix.block_diagonal(
-            [IntMatrix.from_rows([[d]]) for d in g.invariant_factors]
-        ) if g.invariant_factors else IntMatrix.zero(0, 0)
-        g2 = PresentedAbelianGroup(len(g.invariant_factors), rel2).normal_form()
-        assert g2.invariant_factors == g.invariant_factors
+        g2 = PresentedAbelianGroup.diagonal([0] * g.rank + list(g.invariant_factors)).normal_form()
+        assert g2 == g
     a = FgAbelianGroup(0, (4,))
     b = FgAbelianGroup(0, (6,))
     assert a.direct_sum(b).order() == 24
     assert a.direct_sum(b) == FgAbelianGroup(0, (2, 12))
 
 
+def elementary_divisor_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
+    """Independent oracle for direct sums: split every invariant factor
+    into prime powers, then recombine the largest powers of each prime into
+    the last factor, the next largest into the one before, and so on."""
+    exps: dict[int, list[int]] = {}
+    for g in groups:
+        for d in g.invariant_factors:
+            for p, e in factorize(d).factors:
+                exps.setdefault(p, []).append(e)
+    columns = [[p**e for e in sorted(lst, reverse=True)] for p, lst in sorted(exps.items())]
+    factors = sorted(prod(parts) for parts in itertools.zip_longest(*columns, fillvalue=1))
+    return FgAbelianGroup(sum(g.rank for g in groups), tuple(factors))
+
+
 def test_direct_sum_recombines_invariant_factors():
     assert FgAbelianGroup(0, (2,)).direct_sum(FgAbelianGroup(0, (3,))) == FgAbelianGroup(0, (6,))
     assert FgAbelianGroup(1, (2,)).direct_sum(FgAbelianGroup(0, (4,))) == FgAbelianGroup(1, (2, 4))
+    assert FgAbelianGroup.trivial().direct_sum() == FgAbelianGroup.trivial()
+    rng = random.Random(17)
+    for _ in range(200):
+        groups = [PresentedAbelianGroup(n, IntMatrix.from_rows(
+            [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)], n)).normal_form()
+            for n in (rng.randint(0, 3) for _ in range(rng.randint(1, 4)))]
+        assert groups[0].direct_sum(*groups[1:]) == elementary_divisor_sum(*groups), groups
 
 
 # ---------------------------------------------------------------------------
 # complexes and cohomology
 
 
+def cyclic(n):
+    return PresentedAbelianGroup.diagonal([n])
+
+
 def z_term():
-    return PresentedAbelianGroup.free(1)
+    return PresentedAbelianGroup.diagonal([0])
 
 
 def test_cohomology_multiplication_by_k():
@@ -229,7 +267,7 @@ def test_cohomology_multiplication_by_k():
 def test_cohomology_mod3_into_mod15():
     C = BoundedComplex(
         0,
-        (PresentedAbelianGroup.cyclic(3), PresentedAbelianGroup.cyclic(15)),
+        (cyclic(3), cyclic(15)),
         (IntMatrix.from_rows([[5]]),),
     )
     assert cohomology(C, 0).is_trivial
@@ -239,7 +277,7 @@ def test_cohomology_mod3_into_mod15():
 def test_cohomology_zero_differentials():
     C = BoundedComplex(
         -1,
-        (PresentedAbelianGroup.cyclic(4), PresentedAbelianGroup.cyclic(9)),
+        (cyclic(4), cyclic(9)),
         (IntMatrix.from_rows([[0]]),),
     )
     assert cohomology(C, -1) == FgAbelianGroup.cyclic(4)
@@ -250,7 +288,7 @@ def test_cohomology_injective_map_of_finite_groups():
     # Z/3 --3--> Z/9 is injective: H^0 = 0, H^1 = Z/3
     C = BoundedComplex(
         0,
-        (PresentedAbelianGroup.cyclic(3), PresentedAbelianGroup.cyclic(9)),
+        (cyclic(3), cyclic(9)),
         (IntMatrix.from_rows([[3]]),),
     )
     assert cohomology(C, 0).is_trivial
@@ -262,29 +300,29 @@ def test_complex_construction_rejects_bad_data():
         # map Z/3 -> Z/4 by 1 is not well defined
         BoundedComplex(
             0,
-            (PresentedAbelianGroup.cyclic(3), PresentedAbelianGroup.cyclic(4)),
+            (cyclic(3), cyclic(4)),
             (IntMatrix.from_rows([[1]]),),
         )
     with pytest.raises(ValueError):
         # d^2 = 15 != 0 in Z/4
         BoundedComplex(
             0,
-            (z_term(), z_term(), PresentedAbelianGroup.cyclic(4)),
+            (z_term(), z_term(), cyclic(4)),
             (IntMatrix.from_rows([[3]]), IntMatrix.from_rows([[5]])),
         )
 
 
 def test_euler_number_examples():
-    single = BoundedComplex(0, (PresentedAbelianGroup.cyclic(15),), ())
+    single = BoundedComplex(0, (cyclic(15),), ())
     assert euler_number(single) == 15
     # Z/3 in degree -1, Z/15 in degree 0: 15/3 = 5 (from the degree-signed product)
     two = BoundedComplex(
         -1,
-        (PresentedAbelianGroup.cyclic(3), PresentedAbelianGroup.cyclic(15)),
+        (cyclic(3), cyclic(15)),
         (IntMatrix.from_rows([[5]]),),
     )
     assert euler_number(two) == 5
-    empty = BoundedComplex(0, (PresentedAbelianGroup.cyclic(1),), ())
+    empty = BoundedComplex(0, (cyclic(1),), ())
     assert euler_number(empty) == 1
 
 
@@ -347,6 +385,35 @@ def test_membership_matches_sympy_hermite_form():
         assert PresentedAbelianGroup(n, M).relations_contain(B) == sympy_contains(M, B), (M, B)
     assert inside > 100 and outside > 100
 
+    # diagonal presentations, and matrices with at most one nonzero entry
+    # per column (shuffled, repeated, zero columns, rows with no relation)
+    inside = outside = 0
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        orders = [rng.choice([0, 1, rng.randint(2, 12)]) for _ in range(n)]
+        if trial % 2:
+            G = PresentedAbelianGroup.diagonal(orders)
+        else:
+            cols = []
+            for _ in range(rng.randint(0, 5)):
+                i = rng.randrange(n)
+                cols.append([rng.choice([-1, 1]) * rng.randint(0, 3) * orders[i] if r == i else 0
+                             for r in range(n)])
+            rng.shuffle(cols)
+            G = PresentedAbelianGroup(n, IntMatrix.from_rows(list(zip(*cols)) if cols else [()] * n,
+                                                             len(cols)))
+        M = G.relations
+        targets = [M.apply([rng.randint(-3, 3) for _ in range(M.cols)]) if rng.random() < 0.5
+                   else tuple(rng.randint(-13, 13) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        for col in targets:
+            expected = sympy_contains(M, IntMatrix.from_rows([[x] for x in col], 1))
+            assert G.relations_contain(IntMatrix.from_rows([[x] for x in col], 1)) == expected, (M, col)
+            inside += expected
+            outside += not expected
+        B = IntMatrix.from_rows(list(zip(*targets)), len(targets))
+        assert G.relations_contain(B) == sympy_contains(M, B), (M, B)
+    assert inside > 100 and outside > 100
+
 
 def count_calls(monkeypatch, owner, name):
     calls = []
@@ -376,8 +443,16 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
     # one generator: divisibility by the gcd of the relation row, no reduction
     assert PresentedAbelianGroup.from_relation_rows(1, [[4, 6]]).relations_contain(
         IntMatrix.from_rows([[2, 8, -10]]))
-    assert not PresentedAbelianGroup.free(1).relations_contain(IntMatrix.from_rows([[0, 3]]))
+    assert not PresentedAbelianGroup.diagonal([0]).relations_contain(IntMatrix.from_rows([[0, 3]]))
     assert len(snf) == 2
+
+    # every term of a Moore or Cech complex is diagonal: validating one
+    # membership per differential and per d o d reduces nothing
+    del snf[:]
+    M = CyclicMackeyData(210, {d: 2 ** (210 // d) - 1 for d in divisors(210)})
+    assert moore_cochain_complex(M).lo == -4
+    assert cyclic_cech_complex(360, [4, 6, 10, 9]).lo == -4
+    assert snf == []
 
     for C in complexes:
         for i in C.degrees:

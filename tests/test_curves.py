@@ -20,6 +20,7 @@ from qlverify.curves import (
     l_series_kummer,
     l_special_value_curve,
     rational_reconstruction,
+    _power_residue_unit,
     _tables,
     _value_log_histogram,
     verify_l_identities,
@@ -28,7 +29,7 @@ from qlverify.curves import (
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify import gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
-from qlverify.numtheory import divisors
+from qlverify.numtheory import divisors, multiplicative_order
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +268,19 @@ def test_tables_need_no_field_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2), (13, 2), (131, 1)])
 def test_constant_root_of_unity_has_exact_order(p, r):
+    """_power_residue_unit against a search: read the constant
+    w = g_field^(n/e) off the table, check that it has order e, and find the
+    power of g_p^((p-1)/e) equal to it, for every generator g_p of F_p^x."""
     t = _tables(p, r)
+    generators = [g for g in range(1, p) if multiplicative_order(g, p) == p - 1]
     for e in divisors(p - 1):
-        w = t.constant_root_of_unity(e)
+        w = int(t.enc_pow[t.n // e]) if e > 1 else 1
         assert 0 < w < p
         assert min(k for k in range(1, e + 1) if pow(w, k, p) == 1) == e
+        for g_p in generators:
+            v = pow(g_p, (p - 1) // e, p)
+            u0 = next(u for u in range(e) if pow(v, u, p) == w)
+            assert _power_residue_unit(t, g_p, e) == u0, (g_p, e)
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,30 @@ def test_subgroup_inputs_validated():
         verify_norm_identity_numberfield(5, set(), 1)
 
 
+def test_subgroup_validated_once_per_public_call(monkeypatch):
+    import qlverify.dirichlet as dirichlet
+
+    calls = []
+    original = dirichlet._validate_subgroup
+
+    def counted(N, H):
+        calls.append((N, H))
+        return original(N, H)
+
+    monkeypatch.setattr(dirichlet, "_validate_subgroup", counted)
+    # 15 has phi = 8, so the subgroup chains have more than one step
+    H = {1, 14}
+    for call in (lambda: verify_norm_identity_numberfield(15, H, 1),
+                 lambda: verify_order_identity(15, H, 2),
+                 lambda: predict_k_ratio(15, H, 1),
+                 lambda: dedekind_zeta_abelian(15, H, -1),
+                 lambda: characters_with_kernel(15, H),
+                 lambda: quotient_is_cyclic(15, H)):
+        del calls[:]
+        call()
+        assert calls == [(15, H)]
+
+
 def test_bernoulli_numbers_match_sympy():
     sympy = pytest.importorskip("sympy")
     for k in range(80):

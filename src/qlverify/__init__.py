@@ -14,12 +14,9 @@ from .abelian import (
 )
 from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, quotient_by_principal
 from .curves import (
-    AffineBase,
     KummerCover,
-    SpecBase,
     TruncatedLSeries,
     count_points,
-    frobenius_class,
     l_series_kummer,
     l_special_value_curve,
     rational_reconstruction,
@@ -47,7 +44,6 @@ from .ffqlc import (
     InducedRepFF,
     artin_l_value_ff,
     equivariant_k_finite_field,
-    k_group_finite_field,
     k_mackey_finite_field,
     moebius_zeta_product_ff,
     verify_main_theorem_ff,

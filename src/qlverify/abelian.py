@@ -87,12 +87,6 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, out)
 
-    def apply(self, vec) -> tuple[int, ...]:
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
 
 def _coerce(M) -> IntMatrix:
     return M if isinstance(M, IntMatrix) else IntMatrix.from_rows(M)
@@ -318,10 +312,6 @@ class PresentedAbelianGroup:
         cols = [j for j, n in enumerate(orders) if n]
         return cls(len(orders), IntMatrix(len(orders), len(cols), tuple(
             tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders))))
-
-    @classmethod
-    def from_relation_rows(cls, n_generators: int, rows) -> "PresentedAbelianGroup":
-        return cls(n_generators, IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0))
 
     def normal_form(self) -> FgAbelianGroup:
         _, D, _ = smith_normal_form(self.relations)

@@ -6,7 +6,8 @@ total space of the cover with exponent d | p - 1 is
     Y = {(x, y) : y^d = f(x), f(x) != 0},
 
 an honest C_d-Galois cover of X (etale because f never vanishes on X).
-Quotients by subgroups are again Kummer covers z^(d/s) = f(x).
+Quotients by subgroups are again Kummer covers z^(d/s) = f(x), and X
+itself is the quotient with d = 1, so KummerCover is the only scheme type.
 
 Zeta functions are exponentials of point-count sums, and the L-series of
 the character with exponent a is the exponential character sum
@@ -47,7 +48,7 @@ from math import gcd, prod
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber
-from .gf import FieldExt, primitive_polynomial
+from .gf import primitive_polynomial
 from .numtheory import divisors, factorize, is_prime, smallest_primitive_root, squarefree_subsets
 from .report import SKIP, VerificationReport, fmt_rational
 
@@ -80,27 +81,6 @@ class PoleError(ZeroDivisionError):
 
 
 @dataclass(frozen=True)
-class SpecBase:
-    """Spec F_q: one point over every extension."""
-
-    q: int
-
-
-@dataclass(frozen=True)
-class AffineBase:
-    """X = A^1 over F_p minus the zero locus of f (f = 1 gives all of A^1)."""
-
-    p: int
-    f: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if all(c % self.p == 0 for c in self.f):
-            raise ValueError("f must be nonzero")
-
-
-@dataclass(frozen=True)
 class KummerCover:
     """Total space y^d = f(x) over the punctured affine line, d | p - 1.
 
@@ -123,10 +103,6 @@ class KummerCover:
     @property
     def generator(self) -> int:
         return smallest_primitive_root(self.p)
-
-    @property
-    def base(self) -> AffineBase:
-        return AffineBase(self.p, self.f)
 
     def quotient(self, subgroup_order: int) -> "KummerCover":
         """Quotient by the subgroup of order s: the cover z^(d/s) = f(x)."""
@@ -233,21 +209,21 @@ def _tables(p: int, r: int) -> _FieldTables:
     return _FieldTables(p, r)
 
 
-def _check_budget(spec, r: int, max_field_size: int) -> None:
-    """Refuse to enumerate F_(p^r) for a spec over F_p beyond the budget.
-    Every public entry point checks once, before any table or histogram is
-    looked up, so the caches are keyed on the field alone."""
-    if isinstance(spec, (AffineBase, KummerCover)) and spec.p**r > max_field_size:
-        p = spec.p
+def _check_budget(cover: KummerCover, r: int, max_field_size: int) -> None:
+    """Refuse to enumerate F_(p^r) beyond the budget.  Every public entry
+    point checks once, before any table or histogram is looked up, so the
+    caches are keyed on the field alone."""
+    p = cover.p
+    if p**r > max_field_size:
         raise EnumerationBudgetExceeded(
             f"F_({p}^{r}) has {p**r} elements, budget is {max_field_size}"
         )
 
 
 @lru_cache(maxsize=256)
-def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Histogram over c in Z/(p-1) of #{x in F_(p^r) : dlog(f(x)) = c mod p-1},
-    plus the number of zeros of f.  Exhaustive over all p^r elements.
+def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
+    """Histogram over c in Z/(p-1) of #{x in F_(p^r) : dlog(f(x)) = c mod p-1}.
+    Exhaustive over all p^r elements; the zeros of f are not counted.
 
     f is evaluated at every x = g^i by Horner's rule on logs: multiplying
     by x adds i, and adding a nonzero constant c (log l) maps a nonzero
@@ -263,7 +239,6 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[tuple[int,
         coeffs.pop()
     logs_c = [np.int64(t.dlog[c]) if c else None for c in coeffs]
     hist = np.zeros(p - 1 if p > 2 else 1, dtype=np.int64)
-    zeros = 0
     for start in range(0, n, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
         acc = np.full(i.size, logs_c[-1], dtype=np.int64)
@@ -281,21 +256,17 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[tuple[int,
             if not zero.any():
                 zero = None
         if zero is not None:
-            zeros += int(np.count_nonzero(zero))
             acc = acc[~zero]
         hist += np.bincount(acc % (p - 1), minlength=p - 1)
     # the element x = 0 contributes f(0) = constant term
-    c0 = coeffs[0] if coeffs else 0
-    if c0:
-        hist[int(t.dlog[c0]) % (p - 1)] += 1
-    else:
-        zeros += 1
-    return tuple(int(x) for x in hist), zeros
+    if coeffs[0]:
+        hist[int(t.dlog[coeffs[0]]) % (p - 1)] += 1
+    return tuple(int(x) for x in hist)
 
 
 def _residue_histogram_mod(p, r, f, d) -> list[int]:
     """Fold the mod-(p-1) histogram down to Z/d (d divides p-1, or d = 1)."""
-    hist, _ = _value_log_histogram(p, r, tuple(c % p for c in f))
+    hist = _value_log_histogram(p, r, tuple(c % p for c in f))
     if d == 1:
         return [sum(hist)]
     out = [0] * d
@@ -320,25 +291,18 @@ def _power_residue_unit(t: _FieldTables, g_p: int, e: int) -> int:
 # point counting
 
 
-def count_points(spec, r: int, max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> int:
-    """#spec(F_(p^r)) by exhaustive enumeration (table-driven)."""
+def count_points(cover: KummerCover, r: int, max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> int:
+    """#cover(F_(p^r)) by exhaustive enumeration (table-driven).  The base
+    X itself is the cover with d = 1."""
     if r < 1:
         raise ValueError("degree must be >= 1")
-    _check_budget(spec, r, max_field_size)
-    return _count_points(spec, r)
+    _check_budget(cover, r, max_field_size)
+    return _count_points(cover, r)
 
 
-def _count_points(spec, r: int) -> int:
-    if isinstance(spec, SpecBase):
-        return 1
-    if isinstance(spec, AffineBase):
-        _, zeros = _value_log_histogram(spec.p, r, tuple(c % spec.p for c in spec.f))
-        return spec.p**r - zeros
-    if isinstance(spec, KummerCover):
-        # y^d = u has d solutions when dlog(u) = 0 mod d, else none
-        res = _residue_histogram_mod(spec.p, r, spec.f, spec.d)
-        return spec.d * res[0]
-    raise TypeError(f"unsupported spec {spec!r}")
+def _count_points(cover: KummerCover, r: int) -> int:
+    # y^d = u has d solutions when dlog(u) = 0 mod d, else none
+    return cover.d * _residue_histogram_mod(cover.p, r, cover.f, cover.d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,31 +395,18 @@ class TruncatedLSeries:
             n >>= 1
         return result
 
-    def galois_conjugate(self, j: int) -> "TruncatedLSeries":
-        return TruncatedLSeries(
-            self.level, self.order, tuple(c.galois_conjugate(j) for c in self.coeffs)
-        )
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c.is_rational for c in self.coeffs)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.is_integral for c in self.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # series builders
 
 
-def zeta_series(spec, order: int, level: int = 1,
+def zeta_series(cover: KummerCover, order: int, level: int = 1,
                 max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> TruncatedLSeries:
-    """exp(sum_r #spec(F_(q^r)) t^r / r) to the given order, exact."""
+    """exp(sum_r #cover(F_(p^r)) t^r / r) to the given order, exact."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    _check_budget(spec, order, max_field_size)
-    counts = [_count_points(spec, r) for r in range(1, order + 1)]
+    _check_budget(cover, order, max_field_size)
+    counts = [_count_points(cover, r) for r in range(1, order + 1)]
     return TruncatedLSeries.from_log_sums(level, counts)
 
 
@@ -480,29 +431,6 @@ def l_series_kummer(cover: KummerCover, a: int, order: int,
                 s_r = s_r + count * CyclotomicNumber.zeta(d, (a * cls) % d)
         sums.append(s_r)
     return TruncatedLSeries.from_log_sums(d, sums)
-
-
-def frobenius_class(cover: KummerCover, field: FieldExt, x) -> int:
-    """d-th power residue class of f(x): the dlog, base g^((p-1)/d), of
-    f(x)^((p^r - 1)/d) in mu_d inside F_p^x.  Single-point, table-free."""
-    if field.p != cover.p:
-        raise ValueError("field characteristic mismatch")
-    u = field.eval_poly(cover.f, x)
-    if field.is_zero(u):
-        raise ValueError("point lies on the removed locus f = 0")
-    if cover.d == 1:
-        return 0
-    w = field.pow(u, (field.size - 1) // cover.d)
-    if any(c != 0 for c in w[1:]):
-        raise AssertionError("power residue did not land in the prime field")
-    target = w[0]
-    v = pow(cover.generator, (cover.p - 1) // cover.d, cover.p)
-    acc = 1
-    for cls in range(cover.d):
-        if acc == target:
-            return cls
-        acc = (acc * v) % cover.p
-    raise AssertionError("power residue is not in mu_d")
 
 
 def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int) -> list[int]:
@@ -641,18 +569,11 @@ def evaluate_rational(num, den, point) -> CyclotomicNumber:
     return horner(num) * d.inverse()
 
 
-def l_special_value_curve(num, den, p: int, n: int, at: str = "-n") -> CyclotomicNumber:
-    """Value of the reconstructed function at s = -n (t = p^n) or s = 1-n
-    (t = p^(n-1))."""
+def l_special_value_curve(num, den, p: int, n: int) -> CyclotomicNumber:
+    """Value of the reconstructed function at s = -n, that is t = p^n."""
     if n < 1:
         raise ValueError("positive n required")
-    if at == "-n":
-        t_val = Fraction(p) ** n
-    elif at == "1-n":
-        t_val = Fraction(p) ** (n - 1)
-    else:
-        raise ValueError("at must be '-n' or '1-n'")
-    return evaluate_rational(num, den, t_val)
+    return evaluate_rational(num, den, Fraction(p) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -682,32 +603,33 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
         for s in divisors(d)
     }
 
+    # restricted[s, b]: the product of L[a] over a = b mod s, the characters
+    # of C_d that restrict to chi_(s,b) on C_s
+    restricted = {}
+    for s in divisors(d):
+        for b in range(s):
+            part = TruncatedLSeries.one(d, B)
+            for a in range(b, d, s):
+                part = part * L[a]
+            restricted[s, b] = part
+
     # (i) zeta(Y) = prod_a L(X, chi^a)
-    product_all = TruncatedLSeries.one(d, B)
-    for a in range(d):
-        product_all = product_all * L[a]
     rep.check(case, "zeta_factorization", "pair_counts|char_sum_product",
-              zeta_of[1].coeffs, product_all.coeffs, render=_series_str)
+              zeta_of[1].coeffs, restricted[1, 0].coeffs, render=_series_str)
 
     # (ii) descent: zeta(Y/C_s) = prod over characters trivial on C_s
     for s in divisors(d):
-        part = TruncatedLSeries.one(d, B)
-        for a in range(0, d, s):
-            part = part * L[a]
         rep.check(case, f"descent s={s}", "quotient_counts|trivial_char_product",
-                  zeta_of[s].coeffs, part.coeffs, render=_series_str)
+                  zeta_of[s].coeffs, restricted[s, 0].coeffs, render=_series_str)
 
     # (iii) induction: prod of characters of C_d restricting to chi_(s,b)
     #       equals the L-series computed over the intermediate quotient
     for s in divisors(d):
         for b in range(s):
-            lhs = TruncatedLSeries.one(d, B)
-            for a in range(b % s, d, s):
-                lhs = lhs * L[a]
             rhs = l_series_intermediate(cover, s, b, B, level=d, max_field_size=max_field_size)
             rep.check(case, f"induction s={s} b={b}",
                       "restricting_char_product|intermediate_base_sum",
-                      lhs.coeffs, rhs.coeffs, render=_series_str)
+                      restricted[s, b].coeffs, rhs.coeffs, render=_series_str)
 
     # (iv) inclusion-exclusion: primitive-character product from quotient zetas
     primitive_product = TruncatedLSeries.one(d, B)

@@ -37,12 +37,10 @@ from .report import PREDICTION, VerificationReport, fmt_rational
 
 
 def _crt_lift(res: int, q: int, N: int) -> int:
-    """x = res mod q, x = 1 mod N/q (q a prime-power factor of N)."""
+    """x mod N with x = res mod q and x = 1 mod N/q (q a prime-power factor
+    of N): 1 plus the multiple of N/q that is res - 1 mod q."""
     other = N // q
-    for x in range(1, N + 1):
-        if x % q == res % q and x % other == 1 % other:
-            return x % N
-    raise AssertionError("CRT lift not found")
+    return (1 + other * ((res - 1) * pow(other, -1, q))) % N
 
 
 @lru_cache(maxsize=None)
@@ -162,15 +160,6 @@ class DirichletCharacter:
         [1, 4]
         """
         return frozenset(a for a in units(self.modulus) if self.value_exponent(a) == 0)
-
-    def compose_galois(self, j: int) -> "DirichletCharacter":
-        """sigma_j after chi, where sigma_j sends zeta_n to zeta_n^j."""
-        if gcd(j, self.order) != 1:
-            raise ValueError(f"{j} not coprime to the order {self.order}")
-        gens = unit_group(self.modulus)
-        return DirichletCharacter(
-            self.modulus, tuple((c * j) % o for c, (_, o) in zip(self.exponents, gens))
-        )
 
 
 @lru_cache(maxsize=None)

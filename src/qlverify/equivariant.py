@@ -134,9 +134,10 @@ def bredon_cohomology(M: CyclicMackeyData, s: int) -> FgAbelianGroup:
 
 def h0_fixed_point_oracle(M: CyclicMackeyData) -> FgAbelianGroup:
     """Closed form for H^0: value(1) modulo the images of all prime-level
-    restrictions, computed as a single cokernel."""
-    row = [M.orders[1], *(M.multiplier(p, 1) for p in factorize(M.m).primes)]
-    return PresentedAbelianGroup.from_relation_rows(1, [row]).normal_form()
+    restrictions.  That is the cokernel of one 1 x k row, so it is cyclic
+    of order the gcd of the row."""
+    return FgAbelianGroup.cyclic(
+        gcd(M.orders[1], *(M.multiplier(p, 1) for p in factorize(M.m).primes)))
 
 
 def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:

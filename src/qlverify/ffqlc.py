@@ -41,14 +41,6 @@ class CyclicCharacter:
             raise ValueError("group order must be positive")
 
     @property
-    def effective_order(self) -> int:
-        return self.m // gcd(self.m, self.a)
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(self.a % self.m, self.m) == 1 if self.m > 1 else True
-
-    @property
     def is_trivial(self) -> bool:
         return self.a % self.m == 0
 
@@ -71,19 +63,6 @@ class InducedRepFF:
                 raise ValueError(f"subgroup order {h} does not divide {self.m}")
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
-
-
-def k_group_finite_field(q: int, t: int) -> FgAbelianGroup:
-    """Quillen's K-groups: Z at t=0, Z/(q^n - 1) at t = 2n-1 > 0, else 0."""
-    prime_power_decomposition(q)
-    if t < 0:
-        raise ValueError("nonnegative degree required")
-    if t == 0:
-        return FgAbelianGroup(1, ())
-    if t % 2 == 1:
-        n = (t + 1) // 2
-        return FgAbelianGroup.cyclic(q**n - 1)
-    return FgAbelianGroup.trivial()
 
 
 def k_mackey_finite_field(q: int, m: int, t: int) -> CyclicMackeyData:

@@ -37,10 +37,6 @@ class Factorization:
     def num_distinct_primes(self) -> int:
         return len(self.factors)
 
-    @property
-    def radical(self) -> int:
-        return prod(self.primes)
-
 
 # Factorization is frozen, so every caller may share the cached instance.
 @lru_cache(maxsize=None)

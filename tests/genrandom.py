@@ -1,6 +1,6 @@
 """Seeded random generators for property tests: valid bounded complexes of
 finite abelian groups with obfuscated presentations, and random Mackey
-instances."""
+instances.  Also mat_vec, the matrix-vector product the tests share."""
 
 from __future__ import annotations
 
@@ -8,6 +8,12 @@ import random
 from math import gcd
 
 from qlverify.abelian import BoundedComplex, IntMatrix, PresentedAbelianGroup
+
+
+def mat_vec(M: IntMatrix, vec) -> tuple[int, ...]:
+    """M times the column vector vec, as a matrix product."""
+    vec = tuple(vec)
+    return (M @ IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))).col(0)
 
 
 def random_unimodular_pair(rng: random.Random, n: int, steps: int = 6):

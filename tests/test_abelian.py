@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from genrandom import random_finite_complex, random_unimodular_pair
+from genrandom import mat_vec, random_finite_complex, random_unimodular_pair
 from qlverify.abelian import (
     BoundedComplex,
     FgAbelianGroup,
@@ -129,7 +129,7 @@ def test_snf_invariant_factors_match_sympy():
 def test_solve_and_kernel():
     M = IntMatrix.from_rows([[2, 4], [0, 3]])
     x = solve_integer(M, (6, 3))
-    assert M.apply(x) == (6, 3)
+    assert mat_vec(M, x) == (6, 3)
     with pytest.raises(NoIntegerSolution):
         solve_integer(M, (1, 0))
     K = integer_kernel(IntMatrix.from_rows([[2, -4]]))
@@ -161,7 +161,7 @@ def test_kernel_is_saturated_and_annihilates():
         M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)], m)
         K = integer_kernel(M)
         for j in range(K.cols):
-            assert all(v == 0 for v in M.apply(K.col(j)))
+            assert all(v == 0 for v in mat_vec(M, K.col(j)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_normal_form_examples():
     assert PresentedAbelianGroup.diagonal([12]).normal_form() == FgAbelianGroup.cyclic(12)
     assert PresentedAbelianGroup.diagonal([1]).normal_form().is_trivial
     assert PresentedAbelianGroup.diagonal([0, 0]).normal_form() == FgAbelianGroup(2, ())
-    g = PresentedAbelianGroup.from_relation_rows(2, [[2, 0], [0, 3]]).normal_form()
+    g = PresentedAbelianGroup(2, IntMatrix.from_rows([[2, 0], [0, 3]], 2)).normal_form()
     assert g == FgAbelianGroup(0, (6,))
 
 
@@ -374,7 +374,7 @@ def test_membership_matches_sympy_hermite_form():
         m = 0 if trial % 5 == 0 else rng.randint(1, 4)
         M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)], m)
         # targets: images of M (inside) and arbitrary vectors (mostly outside)
-        cols = [M.apply([rng.randint(-4, 4) for _ in range(m)]) if rng.random() < 0.5
+        cols = [mat_vec(M, [rng.randint(-4, 4) for _ in range(m)]) if rng.random() < 0.5
                 else tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(rng.randint(1, 3))]
         for col in cols:
             expected = sympy_contains(M, IntMatrix.from_rows([[x] for x in col], 1))
@@ -403,7 +403,7 @@ def test_membership_matches_sympy_hermite_form():
             G = PresentedAbelianGroup(n, IntMatrix.from_rows(list(zip(*cols)) if cols else [()] * n,
                                                              len(cols)))
         M = G.relations
-        targets = [M.apply([rng.randint(-3, 3) for _ in range(M.cols)]) if rng.random() < 0.5
+        targets = [mat_vec(M, [rng.randint(-3, 3) for _ in range(M.cols)]) if rng.random() < 0.5
                    else tuple(rng.randint(-13, 13) for _ in range(n)) for _ in range(rng.randint(1, 3))]
         for col in targets:
             expected = sympy_contains(M, IntMatrix.from_rows([[x] for x in col], 1))
@@ -435,13 +435,13 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
     snf = count_calls(monkeypatch, abelian, "smith_normal_form")
     normal_forms = count_calls(monkeypatch, PresentedAbelianGroup, "normal_form")
 
-    group = PresentedAbelianGroup.from_relation_rows(2, [[2, 4, 6], [0, 3, 9]])
+    group = PresentedAbelianGroup(2, IntMatrix.from_rows([[2, 4, 6], [0, 3, 9]], 3))
     mat = IntMatrix.from_rows([[2, 6, 8, 1], [3, 12, 3, 0]])
     assert not group.relations_contain(mat)
     assert group.relations_contain(IntMatrix.from_rows([[2, 6, 8], [3, 12, 3]]))
     assert len(snf) == 2
     # one generator: divisibility by the gcd of the relation row, no reduction
-    assert PresentedAbelianGroup.from_relation_rows(1, [[4, 6]]).relations_contain(
+    assert PresentedAbelianGroup(1, IntMatrix.from_rows([[4, 6]], 2)).relations_contain(
         IntMatrix.from_rows([[2, 8, -10]]))
     assert not PresentedAbelianGroup.diagonal([0]).relations_contain(IntMatrix.from_rows([[0, 3]]))
     assert len(snf) == 2

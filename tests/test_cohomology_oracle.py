@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from genrandom import random_finite_complex
+from genrandom import mat_vec, random_finite_complex
 from qlverify.abelian import FgAbelianGroup, cohomology, smith_normal_form
 
 
@@ -51,7 +51,7 @@ class ExplicitTerm:
 
     def project(self, x):
         """Generator-coordinate vector -> element tuple."""
-        ux = self.U.apply(x)
+        ux = mat_vec(self.U, x)
         return tuple(v % d for v, d in zip(ux, self.mods))
 
     def lift(self, elem):
@@ -86,7 +86,7 @@ def brute_force_cohomology_orders(C, i):
         tgt = ExplicitTerm(C.term(i + 1))
         d = C.differentials[i - C.lo]
         for elem in src.elements():
-            if tgt.project(d.apply(src.lift(elem))) == tgt.zero():
+            if tgt.project(mat_vec(d, src.lift(elem))) == tgt.zero():
                 kernel.append(elem)
     else:
         kernel = list(src.elements())
@@ -94,7 +94,7 @@ def brute_force_cohomology_orders(C, i):
     if i > C.lo:
         prev = ExplicitTerm(C.term(i - 1))
         d_prev = C.differentials[i - 1 - C.lo]
-        image = {src.project(d_prev.apply(prev.lift(e))) for e in prev.elements()}
+        image = {src.project(mat_vec(d_prev, prev.lift(e))) for e in prev.elements()}
     counts = Counter()
     for k in kernel:
         acc = k

@@ -8,6 +8,7 @@ import pytest
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify.dirichlet import (
     DirichletCharacter,
+    _crt_lift,
     all_characters,
     all_subgroups,
     bernoulli_number,
@@ -28,7 +29,7 @@ from qlverify.dirichlet import (
     verify_order_identity,
     zeta_order_of_vanishing,
 )
-from qlverify.numtheory import euler_phi
+from qlverify.numtheory import euler_phi, factorize
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,20 @@ def test_unit_group_examples():
     assert unit_group(12) == ((7, 2), (5, 2))
     assert unit_group(1) == ()
     assert unit_group(2) == ()
+
+
+def test_crt_lift_matches_search():
+    """The closed-form lift against a search over 1..N: the x with
+    x = 1 mod N/q, bucketed by x mod q, for every residue mod q and every
+    prime-power factor q of every N < 400."""
+    for N in range(1, 400):
+        for p, e in factorize(N).factors:
+            q = p**e
+            other = N // q
+            by_residue = {x % q: x % N for x in range(1, N + 1) if x % other == 1 % other}
+            assert len(by_residue) == q
+            for res in range(q):
+                assert _crt_lift(res, q, N) == by_residue[res], (res, q, N)
 
 
 def test_unit_group_generates_everything():
@@ -225,7 +240,10 @@ def test_galois_equivariance_of_l_values():
             for j in range(1, n):
                 if gcd(j, n) != 1:
                     continue
-                lhs = dirichlet_l_value(chi.compose_galois(j), -3)
+                # sigma_j after chi, where sigma_j sends zeta_n to zeta_n^j
+                chi_j = DirichletCharacter(N, tuple(
+                    (c * j) % o for c, (_, o) in zip(chi.exponents, unit_group(N))))
+                lhs = dirichlet_l_value(chi_j, -3)
                 rhs = dirichlet_l_value(chi, -3)
                 assert lhs == rhs.galois_conjugate(j) or (
                     lhs.level != rhs.level

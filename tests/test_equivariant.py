@@ -3,6 +3,7 @@ from math import gcd, prod
 
 import pytest
 
+from genrandom import mat_vec
 from qlverify.abelian import (
     FgAbelianGroup,
     IntMatrix,
@@ -95,7 +96,7 @@ def brute_force_mackey_ok(m, value, ext):
         for small in divs:
             if big % small == 0:
                 for col in value[big].relations.columns():
-                    if not in_column_span(value[small].relations, full[(big, small)].apply(col)):
+                    if not in_column_span(value[small].relations, mat_vec(full[(big, small)], col)):
                         return False
     for a in divs:
         for b in divs:

@@ -13,7 +13,6 @@ from qlverify.ffqlc import (
     artin_l_value_ff,
     equivariant_k_finite_field,
     gcd_order_closed_form,
-    k_group_finite_field,
     k_mackey_finite_field,
     moebius_zeta_product_ff,
     verify_induced_ff,
@@ -23,22 +22,12 @@ from qlverify.ffqlc import (
 
 def test_characters():
     chi = CyclicCharacter(12, 8)
-    assert chi.effective_order == 3
-    assert not chi.is_primitive
+    assert chi.primitivize().m == 3  # the order of chi
+    assert chi.primitivize() != chi  # not primitive
     assert chi.primitivize() == CyclicCharacter(3, 2)
-    assert CyclicCharacter(12, 5).is_primitive
+    assert CyclicCharacter(12, 5).primitivize() == CyclicCharacter(12, 5)  # primitive
     assert CyclicCharacter(4, 0).is_trivial
     assert CyclicCharacter(4, 0).primitivize() == CyclicCharacter(1, 0)
-
-
-def test_k_groups_examples():
-    assert k_group_finite_field(2, 1).is_trivial
-    assert k_group_finite_field(4, 1) == FgAbelianGroup.cyclic(3)
-    assert k_group_finite_field(2, 4).is_trivial
-    assert k_group_finite_field(2, 0) == FgAbelianGroup(1, ())
-    assert k_group_finite_field(3, 3) == FgAbelianGroup.cyclic(8)
-    with pytest.raises(ValueError):
-        k_group_finite_field(6, 1)
 
 
 def test_k_mackey_examples():

@@ -22,7 +22,7 @@ def test_factorize_examples():
     f = factorize(210)
     assert f.factors == ((2, 1), (3, 1), (5, 1), (7, 1))
     assert f.num_distinct_primes == 4
-    assert f.radical == 210
+    assert math.prod(f.primes) == 210  # the radical
 
 
 def test_factorize_rejects_nonpositive():

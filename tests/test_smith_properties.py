@@ -8,6 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from genrandom import mat_vec  # noqa: E402
 from qlverify.abelian import IntMatrix, in_column_span, smith_normal_form, solve_integer  # noqa: E402
 
 ENTRY = st.integers(-30, 30)
@@ -77,6 +78,6 @@ def test_snf_diagonal_is_a_divisibility_chain(M):
 @PROPERTY
 @given(matrices(), st.data())
 def test_images_are_in_the_column_span(M, data):
-    y = M.apply(data.draw(st.lists(ENTRY, min_size=M.cols, max_size=M.cols)))
+    y = mat_vec(M, data.draw(st.lists(ENTRY, min_size=M.cols, max_size=M.cols)))
     assert in_column_span(M, y)
-    assert M.apply(solve_integer(M, y)) == y
+    assert mat_vec(M, solve_integer(M, y)) == y

@@ -6,15 +6,23 @@ the relators).  Smith normal form over Z does all the work: normal forms,
 kernels, cokernels, and the cohomology of bounded cochain complexes of
 presented groups.
 
+One elimination routine, `_smith`, does every reduction, and it carries
+only the transforms its caller reads: a normal form reads the diagonal
+alone and carries neither transform, a kernel carries only the column
+transform V, and a solve carries both U and V.  `smith_normal_form` is the
+public wrapper that returns all three as (U, D, V).
+
 One Smith reduction per lattice: `_solve` reduces a matrix once and reads
 off both an integer solution for a whole block of target columns and a
 basis of the kernel.  solve_integer, integer_kernel, relations_contain and
 cohomology all go through it, so no lattice is reduced once per column.
-The one shortcut: when every relation column has at most one nonzero
-entry (a diagonal presentation, such as every term of a Moore or Cech
-complex, with its columns in any order or repeated), membership is
-divisibility of each row by the gcd of its relation row, so building
-those complexes makes no Smith reduction.
+Two shortcuts skip reductions.  In the top degree of a complex the kernel
+is everything, so cohomology there is the one normal form.  And when
+every relation column has at most one nonzero entry (a diagonal
+presentation, such as every term of a Moore or Cech complex, with its
+columns in any order or repeated), membership is divisibility of each row
+by the gcd of its relation row, so building those complexes makes no Smith
+reduction.
 
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
@@ -27,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +65,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -80,23 +89,102 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot) if self.cols else tuple(0 for _ in range(other.cols))
-            for row in self.data
-        )
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix(self.rows, other.cols, _product(self.data, other.data, other.cols))
 
 
 def _coerce(M) -> IntMatrix:
     return M if isinstance(M, IntMatrix) else IntMatrix.from_rows(M)
 
 
-def smith_normal_form(M) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular (U, D, V) with U @ M @ V = D, D diagonal, d1 | d2 | ...
+def _product(X, Y, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the product X Y, for X and Y given as sequences of rows and Y
+    with `cols` columns (Y may have no rows)."""
+    Yt = list(zip(*Y)) if Y else [()] * cols
+    return tuple(tuple(sum(map(mul, row, col)) for col in Yt) for row in X)
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _smith(A: list[list[int]], U: list[list[int]] | None = None, V: list[list[int]] | None = None) -> None:
+    """Reduce the integer rows A in place to Smith normal form.
+
+    Every row operation is also applied to U and every column operation to
+    V, each only when given, so a caller that reads only the diagonal (or
+    only V) carries no transform it does not read.  Started from identities,
+    U A0 V = A on return.
 
     Pivoting always picks a least-absolute-value nonzero entry of the
-    remaining block, which keeps entry growth tame at these sizes.
+    remaining block, the first one in row-major order, which keeps entry
+    growth tame at these sizes.  Rows above the block are zero from column
+    t on, so column operations touch only rows t and below of A.
+    """
+    n = len(A)
+    m = len(A[0]) if A else 0
+    for t in range(min(n, m)):
+        while True:
+            pivot, least = None, 0
+            for i in range(t, n):
+                row = A[i]
+                for j in range(t, m):
+                    a = row[j]
+                    if a and (pivot is None or abs(a) < least):
+                        pivot, least = (i, j), abs(a)
+                if least == 1:  # nothing later can be smaller
+                    break
+            if pivot is None:
+                return
+            i, j = pivot
+            if i != t:
+                A[t], A[i] = A[i], A[t]
+                if U is not None:
+                    U[t], U[i] = U[i], U[t]
+            if j != t:
+                for r in A[t:]:
+                    r[t], r[j] = r[j], r[t]
+                if V is not None:
+                    for r in V:
+                        r[t], r[j] = r[j], r[t]
+            if A[t][t] < 0:
+                A[t] = [-a for a in A[t]]
+                if U is not None:
+                    U[t] = [-a for a in U[t]]
+            p = A[t][t]
+            pivot_row = A[t]
+            dirty = False
+            for i in range(t + 1, n):  # row_i -= q * row_t
+                q = A[i][t] // p
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], pivot_row)]
+                    if U is not None:
+                        U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+                    dirty = dirty or A[i][t] != 0
+            for j in range(t + 1, m):  # col_j -= q * col_t
+                q = pivot_row[j] // p
+                if q:
+                    for r in A[t:]:
+                        r[j] -= q * r[t]
+                    if V is not None:
+                        for r in V:
+                            r[j] -= q * r[t]
+                    dirty = dirty or pivot_row[j] != 0
+            if dirty:
+                continue
+            if p == 1:  # every entry is divisible by the pivot
+                break
+            # force divisibility of the remaining block by the pivot
+            culprit = next((i for i in range(t + 1, n) if any(a % p for a in A[i][t + 1:])), None)
+            if culprit is None:
+                break
+            # add the offending row to the pivot row
+            A[t] = [a + b for a, b in zip(A[t], A[culprit])]
+            if U is not None:
+                U[t] = [a + b for a, b in zip(U[t], U[culprit])]
+
+
+def smith_normal_form(M) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular (U, D, V) with U @ M @ V = D, D diagonal, d1 | d2 | ...
 
     >>> _, D, _ = smith_normal_form([[2, 0], [0, 3]])
     >>> D.data
@@ -107,74 +195,12 @@ def smith_normal_form(M) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     M = _coerce(M)
     n, m = M.rows, M.cols
-    A = [list(r) for r in M.data]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in A:
-            r[j] -= q * r[k]
-        for r in V:
-            r[j] -= q * r[k]
-
-    def swap_rows(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-
-    def swap_cols(j, k):
-        for r in A:
-            r[j], r[k] = r[k], r[j]
-        for r in V:
-            r[j], r[k] = r[k], r[j]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    for t in range(min(n, m)):
-        while True:
-            pivot = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
-            if A[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    row_op(i, t, A[i][t] // A[t][t])
-                    dirty = dirty or A[i][t] != 0
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    col_op(j, t, A[t][j] // A[t][t])
-                    dirty = dirty or A[t][j] != 0
-            if dirty:
-                continue
-            # force divisibility of the remaining block by the pivot
-            culprit = next(
-                ((i, j) for i in range(t + 1, n) for j in range(t + 1, m) if A[i][j] % A[t][t] != 0),
-                None,
-            )
-            if culprit is None:
-                break
-            row_op(t, culprit[0], -1)  # add the offending row to the pivot row
-
+    A, U, V = [list(r) for r in M.data], _identity_rows(n), _identity_rows(m)
+    _smith(A, U, V)
     return (
-        IntMatrix.from_rows(U, n),
-        IntMatrix.from_rows(A, m),
-        IntMatrix.from_rows(V, m),
+        IntMatrix(n, n, tuple(map(tuple, U))),
+        IntMatrix(n, m, tuple(map(tuple, A))),
+        IntMatrix(m, m, tuple(map(tuple, V))),
     )
 
 
@@ -186,17 +212,22 @@ def _solve(M: IntMatrix, B: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
     """One Smith reduction of M, two answers: an integer X with M X = B
     (None when some column of B has no integer preimage) and a basis of
     ker(M: Z^cols -> Z^rows) as matrix columns."""
-    U, D, V = smith_normal_form(M)
-    # the nonzero diagonal entries of D come first
-    diag = [D.data[i][i] for i in range(min(M.rows, M.cols))]
+    n, m = M.rows, M.cols
+    # U only when there is a right-hand side to carry through it
+    A, U, V = [list(r) for r in M.data], _identity_rows(n) if B.cols else None, _identity_rows(m)
+    _smith(A, U, V)
+    # the nonzero diagonal entries come first
+    diag = [A[i][i] for i in range(min(n, m))]
     rank = sum(1 for d in diag if d)
-    kernel = IntMatrix(M.cols, M.cols - rank, tuple(row[rank:] for row in V.data))
-    C = (U @ B).data
+    kernel = IntMatrix(m, m - rank, tuple(tuple(row[rank:]) for row in V))
+    if U is None:
+        return IntMatrix.zero(m, 0), kernel
+    C = _product(U, B.data, B.cols)
     if any(any(row) for row in C[rank:]) or any(x % diag[i] for i in range(rank) for x in C[i]):
         return None, kernel
-    Y = tuple(tuple(x // diag[i] for x in C[i]) for i in range(rank))
-    Y += ((0,) * B.cols,) * (M.cols - rank)
-    return V @ IntMatrix(M.cols, B.cols, Y), kernel
+    Y = [tuple(x // diag[i] for x in C[i]) for i in range(rank)]
+    Y += [(0,) * B.cols] * (m - rank)
+    return IntMatrix(m, B.cols, _product(V, Y, B.cols)), kernel
 
 
 def solve_integer(M, target) -> tuple[int, ...]:
@@ -314,9 +345,9 @@ class PresentedAbelianGroup:
             tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders))))
 
     def normal_form(self) -> FgAbelianGroup:
-        _, D, _ = smith_normal_form(self.relations)
-        diag = [D.data[i][i] for i in range(min(D.rows, D.cols))]
-        nonzero = [abs(d) for d in diag if d != 0]
+        A = [list(r) for r in self.relations.data]
+        _smith(A)
+        nonzero = [abs(A[i][i]) for i in range(min(self.relations.rows, self.relations.cols)) if A[i][i]]
         return FgAbelianGroup(
             self.n_generators - len(nonzero),
             tuple(sorted(d for d in nonzero if d >= 2)),
@@ -381,17 +412,19 @@ class BoundedComplex:
 def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     """H^i(C) = ker(d^i) / im(d^{i-1}), computed in the quotient groups."""
     src = C.term(i)
-    # kernel of the induced map: x with d^i(x) in the relation span of the target
-    if i < C.hi:
-        d = C.differentials[i - C.lo]
-        ker = integer_kernel(d.hstack(C.term(i + 1).relations))
-        gens = IntMatrix(src.n_generators, ker.cols, ker.data[:src.n_generators])
-    else:
-        gens = IntMatrix.identity(src.n_generators)
-    # image of d^{i-1} plus source relations, in terms of the kernel generators
+    # image of d^{i-1} plus source relations
     image = src.relations
     if i > C.lo:
         image = image.hstack(C.differentials[i - 1 - C.lo])
+    if i == C.hi:
+        # d^i = 0: the kernel is all of Z^n, so the image is already
+        # expressed in the kernel generators
+        return PresentedAbelianGroup(src.n_generators, image).normal_form()
+    # kernel of the induced map: x with d^i(x) in the relation span of the target
+    d = C.differentials[i - C.lo]
+    ker = integer_kernel(d.hstack(C.term(i + 1).relations))
+    gens = IntMatrix(src.n_generators, ker.cols, ker.data[:src.n_generators])
+    # the image in terms of the kernel generators
     X, gens_kernel = _solve(gens, image)
     if X is None:
         raise NoIntegerSolution

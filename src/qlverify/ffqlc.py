@@ -120,12 +120,10 @@ def equivariant_k_finite_field(q: int, m: int, rep, t: int) -> FgAbelianGroup:
     if isinstance(rep, InducedRepFF):
         if rep.m != m:
             raise ValueError("ambient group order mismatch")
-        total = FgAbelianGroup.trivial()
+        pieces = []
         for h, a, mult in rep.summands:
-            piece = equivariant_k_finite_field(q ** (m // h), h, CyclicCharacter(h, a), t)
-            for _ in range(mult):
-                total = total.direct_sum(piece)
-        return total
+            pieces += [equivariant_k_finite_field(q ** (m // h), h, CyclicCharacter(h, a), t)] * mult
+        return FgAbelianGroup.trivial().direct_sum(*pieces)
     if not isinstance(rep, CyclicCharacter):
         raise TypeError("rep must be a CyclicCharacter or InducedRepFF")
     if rep.m != m:
@@ -207,7 +205,7 @@ def verify_induced_ff(q: int, rep_spec: InducedRepFF, k: int) -> VerificationRep
 
     norm_l = Fraction(1)
     trivial_count = 0
-    structural = FgAbelianGroup.trivial()
+    pieces = []
     for h, a, mult in rep_spec.summands:
         chi = CyclicCharacter(h, a)
         base = q ** (m // h)
@@ -215,9 +213,8 @@ def verify_induced_ff(q: int, rep_spec: InducedRepFF, k: int) -> VerificationRep
         if chi.is_trivial:
             trivial_count += mult
         prim = chi.primitivize()
-        piece = quotient_by_principal(prim.m, 1 - CyclotomicNumber.zeta(prim.m, prim.a) * base**k)
-        for _ in range(mult):
-            structural = structural.direct_sum(piece)
+        pieces += [quotient_by_principal(prim.m, 1 - CyclotomicNumber.zeta(prim.m, prim.a) * base**k)] * mult
+    structural = FgAbelianGroup.trivial().direct_sum(*pieces)
 
     pi_odd = equivariant_k_finite_field(q, m, rep_spec, 2 * k - 1)
     pi_even = equivariant_k_finite_field(q, m, rep_spec, 2 * k)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -416,11 +417,16 @@ def test_membership_matches_sympy_hermite_form():
 
 
 def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments
+    by parameter name, defaults filled in."""
     calls = []
     original = getattr(owner, name)
+    signature = inspect.signature(original)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -432,7 +438,8 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
 
     rng = random.Random(8)
     complexes = [random_finite_complex(rng) for _ in range(40)]
-    snf = count_calls(monkeypatch, abelian, "smith_normal_form")
+    # every Smith reduction, public or internal, runs the one elimination routine
+    snf = count_calls(monkeypatch, abelian, "_smith")
     normal_forms = count_calls(monkeypatch, PresentedAbelianGroup, "normal_form")
 
     group = PresentedAbelianGroup(2, IntMatrix.from_rows([[2, 4, 6], [0, 3, 9]], 3))
@@ -445,6 +452,11 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
         IntMatrix.from_rows([[2, 8, -10]]))
     assert not PresentedAbelianGroup.diagonal([0]).relations_contain(IntMatrix.from_rows([[0, 3]]))
     assert len(snf) == 2
+
+    # a normal form reads only the diagonal, so it carries neither transform
+    del snf[:]
+    assert group.normal_form() == FgAbelianGroup(0, (6,))
+    assert [(call["U"], call["V"]) for call in snf] == [(None, None)]
 
     # every term of a Moore or Cech complex is diagonal: validating one
     # membership per differential and per d o d reduces nothing

@@ -2,6 +2,8 @@
 by hypothesis."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 
@@ -9,7 +11,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from genrandom import mat_vec  # noqa: E402
-from qlverify.abelian import IntMatrix, in_column_span, smith_normal_form, solve_integer  # noqa: E402
+from qlverify.abelian import (  # noqa: E402
+    FgAbelianGroup,
+    IntMatrix,
+    PresentedAbelianGroup,
+    in_column_span,
+    integer_kernel,
+    smith_normal_form,
+    solve_integer,
+)
 
 ENTRY = st.integers(-30, 30)
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -81,3 +91,45 @@ def test_images_are_in_the_column_span(M, data):
     y = mat_vec(M, data.draw(st.lists(ENTRY, min_size=M.cols, max_size=M.cols)))
     assert in_column_span(M, y)
     assert mat_vec(M, solve_integer(M, y)) == y
+
+
+def minors(M: IntMatrix, k: int):
+    """Every k x k minor of M, by the Leibniz formula; the 0 x 0 minor is 1."""
+    for rows in combinations(range(M.rows), k):
+        for cols in combinations(range(M.cols), k):
+            yield sum(
+                (-1) ** sum(p[a] > p[b] for a, b in combinations(range(k), 2))
+                * prod(M.data[r][cols[p[i]]] for i, r in enumerate(rows))
+                for p in permutations(range(k))
+            )
+
+
+def determinantal_divisors(M: IntMatrix) -> list[int]:
+    """d_0 = 1, d_1, ..., d_min(rows, cols): d_k is the gcd of the k x k minors."""
+    return [gcd(*minors(M, k)) for k in range(min(M.rows, M.cols) + 1)]
+
+
+def rank(M: IntMatrix) -> int:
+    return max(k for k, d in enumerate(determinantal_divisors(M)) if d)
+
+
+@PROPERTY
+@given(matrices(max_dim=4))
+def test_normal_form_matches_determinantal_divisors(M):
+    # the invariant factors of Z^rows / (column span) are d_k / d_(k-1)
+    d = determinantal_divisors(M)
+    r = rank(M)
+    factors = tuple(d[k] // d[k - 1] for k in range(1, r + 1))
+    expected = FgAbelianGroup(M.rows - r, tuple(f for f in factors if f > 1))
+    assert PresentedAbelianGroup(M.rows, M).normal_form() == expected
+
+
+@PROPERTY
+@given(matrices(max_dim=4))
+def test_integer_kernel_is_a_saturated_basis(M):
+    K = integer_kernel(M)
+    assert (K.rows, K.cols) == (M.cols, M.cols - rank(M))
+    assert all(sum(M.data[i][t] * K.data[t][j] for t in range(M.cols)) == 0
+               for i in range(M.rows) for j in range(K.cols))
+    # the maximal minors of a basis of a saturated lattice are coprime
+    assert gcd(*minors(K, K.cols)) == 1

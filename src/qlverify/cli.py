@@ -19,9 +19,8 @@ import sys
 
 from .curves import DEFAULT_MAX_FIELD_SIZE, KummerCover, verify_l_identities
 from .dirichlet import (
-    all_subgroups,
     predict_k_ratio,
-    quotient_is_cyclic,
+    real_cyclic_fields,
     verify_norm_identity_numberfield,
     verify_order_identity,
 )
@@ -68,17 +67,12 @@ DEFAULT_COVERS = (
 
 
 def run_dirichlet(n_max: int, order_max: int, fields=()) -> VerificationReport:
-    """Norm and order identities over all (N <= n_max, subgroups with -1
-    and cyclic quotient), plus the rational predictions for every field in
-    the matrix.  Explicit field specs {"modulus": N, "subgroup": [...]}
-    are run in addition to the matrix."""
+    """Norm and order identities over all (N <= n_max, kernels of the even
+    characters mod N: the totally real cyclic fields), plus the rational
+    predictions for every field in the matrix.  Explicit field specs
+    {"modulus": N, "subgroup": [...]} are run in addition to the matrix."""
     report = VerificationReport()
-    matrix = []
-    for N in range(1, n_max + 1):
-        minus_one = (N - 1) % N
-        for H in all_subgroups(N):
-            if minus_one in H and quotient_is_cyclic(N, H):
-                matrix.append((N, H))
+    matrix = [(N, H) for N in range(1, n_max + 1) for H in real_cyclic_fields(N)]
     matrix.extend((spec["modulus"], frozenset(spec["subgroup"])) for spec in fields)
     for N, H in matrix:
         for n in range(1, order_max + 1):

@@ -106,8 +106,8 @@ class KummerCover:
 
     def quotient(self, subgroup_order: int) -> "KummerCover":
         """Quotient by the subgroup of order s: the cover z^(d/s) = f(x)."""
-        if self.d % subgroup_order != 0:
-            raise ValueError(f"{subgroup_order} does not divide {self.d}")
+        if subgroup_order < 1 or self.d % subgroup_order != 0:
+            raise ValueError(f"subgroup order {subgroup_order} is not a positive divisor of {self.d}")
         return KummerCover(self.p, self.d // subgroup_order, self.f)
 
     def f_degree(self) -> int:
@@ -223,7 +223,8 @@ def _check_budget(cover: KummerCover, r: int, max_field_size: int) -> None:
 @lru_cache(maxsize=256)
 def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
     """Histogram over c in Z/(p-1) of #{x in F_(p^r) : dlog(f(x)) = c mod p-1}.
-    Exhaustive over all p^r elements; the zeros of f are not counted.
+    Exhaustive over all p^r elements; the zeros of f are not counted.  f is
+    reduced mod p with a nonzero last coefficient.
 
     f is evaluated at every x = g^i by Horner's rule on logs: multiplying
     by x adds i, and adding a nonzero constant c (log l) maps a nonzero
@@ -234,10 +235,7 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
     """
     t = _tables(p, r)
     n = t.n
-    coeffs = [c % p for c in f]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    logs_c = [np.int64(t.dlog[c]) if c else None for c in coeffs]
+    logs_c = [np.int64(t.dlog[c]) if c else None for c in f]
     hist = np.zeros(p - 1 if p > 2 else 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
@@ -259,14 +257,19 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
             acc = acc[~zero]
         hist += np.bincount(acc % (p - 1), minlength=p - 1)
     # the element x = 0 contributes f(0) = constant term
-    if coeffs[0]:
-        hist[int(t.dlog[coeffs[0]]) % (p - 1)] += 1
+    if f[0]:
+        hist[int(t.dlog[f[0]]) % (p - 1)] += 1
     return tuple(int(x) for x in hist)
 
 
 def _residue_histogram_mod(p, r, f, d) -> list[int]:
-    """Fold the mod-(p-1) histogram down to Z/d (d divides p-1, or d = 1)."""
-    hist = _value_log_histogram(p, r, tuple(c % p for c in f))
+    """Fold the mod-(p-1) histogram down to Z/d (d divides p-1, or d = 1).
+    f (nonzero mod p) is reduced and its trailing zeros dropped before the
+    cache lookup, so f and f + 0 x^k share one histogram."""
+    coeffs = [c % p for c in f]
+    while not coeffs[-1]:
+        coeffs.pop()
+    hist = _value_log_histogram(p, r, tuple(coeffs))
     if d == 1:
         return [sum(hist)]
     out = [0] * d
@@ -468,8 +471,8 @@ def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order
     points (x, z) of W of zeta_s^(b * class_s(z)).  Returned at the given
     level (default d) for direct comparison with products of level-d series."""
     s = subgroup_order
-    if cover.d % s != 0:
-        raise ValueError(f"{s} does not divide {cover.d}")
+    if s < 1 or cover.d % s != 0:
+        raise ValueError(f"subgroup order {s} is not a positive divisor of {cover.d}")
     level = cover.d if level is None else level
     if level % s != 0:
         raise ValueError("level must be a multiple of the subgroup order")

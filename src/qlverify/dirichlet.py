@@ -11,7 +11,11 @@ exact-up-to-Euler-factors.
 
 Each character's kernel is computed once, and the subgroup tests of the
 abelian-field layer are set operations on it: H <= kernel for the fixed
-field of H, kernel == H for a faithful character of (Z/N)^x / H.
+field of H, kernel == H for a faithful character of (Z/N)^x / H.  The
+fields themselves are kernels too: a subfield of Q(zeta_N) that is cyclic
+over Q and totally real is the fixed field of the kernel of an even
+character mod N, so real_cyclic_fields lists them without enumerating
+subgroups.
 
 Residues are kept in [0, N); for N = 1 the unit group is the single
 residue 0, which keeps every formula degenerate-safe.
@@ -265,33 +269,6 @@ def dirichlet_l_value(chi: DirichletCharacter, s: int) -> CyclotomicNumber:
 # subgroups of (Z/N)^x and abelian fields
 
 
-def subgroup_generated(N: int, gens) -> frozenset[int]:
-    out = {1 % N}
-    frontier = [1 % N]
-    gens = [g % N for g in gens]
-    if any(gcd(g, N) != 1 for g in gens):
-        raise ValueError("generators must be units")
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = (a * g) % N
-            if b not in out:
-                out.add(b)
-                frontier.append(b)
-    return frozenset(out)
-
-
-def all_subgroups(N: int) -> tuple[frozenset[int], ...]:
-    """Every subgroup of (Z/N)^x, ordered by (size, sorted residues)."""
-    us = units(N)
-    rank = max(len(unit_group(N)), 1)
-    found = {subgroup_generated(N, [])}
-    for size in range(1, rank + 1):
-        for combo in itertools.combinations_with_replacement(us, size):
-            found.add(subgroup_generated(N, combo))
-    return tuple(sorted(found, key=lambda H: (len(H), sorted(H))))
-
-
 def _validate_subgroup(N: int, H) -> frozenset[int]:
     H = frozenset(a % N for a in H)
     us = set(units(N))
@@ -304,23 +281,25 @@ def _validate_subgroup(N: int, H) -> frozenset[int]:
     return H
 
 
-def characters_with_kernel(N: int, H) -> tuple[DirichletCharacter, ...]:
-    """The faithful characters of (Z/N)^x / H: those with kernel exactly H."""
-    return _characters_with_kernel(N, _validate_subgroup(N, H))
-
-
 def _characters_with_kernel(N: int, H: frozenset[int]) -> tuple[DirichletCharacter, ...]:
     # H is a reduced subgroup: a public caller has validated it
     return tuple(chi for chi in all_characters(N) if chi.kernel == H)
 
 
-def quotient_is_cyclic(N: int, H) -> bool:
-    """(Z/N)^x / H is cyclic exactly when some character has kernel exactly H.
+def real_cyclic_fields(N: int) -> tuple[frozenset[int], ...]:
+    """The subgroups H of (Z/N)^x whose fixed field in Q(zeta_N) is cyclic
+    over Q and totally real, ordered by (size, sorted residues).
 
-    >>> quotient_is_cyclic(24, {1, 23}), quotient_is_cyclic(8, {1, 7})
-    (False, True)
+    These are the distinct kernels of the even characters mod N: the
+    quotient by H is cyclic exactly when a character has kernel H, and -1
+    lies in that kernel exactly when the character is even.
+
+    >>> [sorted(H) for H in real_cyclic_fields(5)]
+    [[1, 4], [1, 2, 3, 4]]
     """
-    return bool(characters_with_kernel(N, H))
+    minus_one = (N - 1) % N
+    kernels = {chi.kernel for chi in all_characters(N) if minus_one in chi.kernel}
+    return tuple(sorted(kernels, key=lambda H: (len(H), sorted(H))))
 
 
 def field_degree(N: int, H) -> int:

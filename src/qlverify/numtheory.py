@@ -2,7 +2,9 @@
 
 Everything here is exact and sized for desk-scale moduli (trial division
 is deliberate; nothing in this package factors anything near cryptographic
-sizes).
+sizes).  Primality and prime-power tests do not factor: is_prime is a
+deterministic Miller-Rabin test, so a large prime given on the command line
+is accepted or rejected at once.
 """
 
 from __future__ import annotations
@@ -104,19 +106,70 @@ def squarefree_subsets(primes) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
+# Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test with the prime bases 2..41, exact for
+    n < 3.3 * 10^24; above that bound n is factored by trial division.
+
+    >>> [n for n in range(20) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> is_prime(10**18 + 3), is_prime(3215031751)  # 151 * 751 * 28351
+    (True, False)
+    """
     if n < 2:
         return False
-    f = factorize(n)
-    return f.num_distinct_primes == 1 and f.factors[0][1] == 1
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MILLER_RABIN_BOUND:
+        return factorize(n).factors == ((n, 1),)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1 and e >= 1, by Newton's method on
+    integers from a start above the root."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
-    """Write q = p^e for a prime p, or raise ValueError."""
-    f = factorize(q)
-    if q < 2 or f.num_distinct_primes != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return f.factors[0]
+    """Write q = p^e for a prime p, or raise ValueError.
+
+    q is an exact e-th power with a prime root for at most one e.  Each
+    e <= log2(q) is tried with an integer root, the largest first, so the
+    primality test sees the root of a prime power, never the power itself.
+
+    >>> prime_power_decomposition((10**18 + 3) ** 4)
+    (1000000000000000003, 4)
+    """
+    for e in reversed(range(1, q.bit_length())):
+        p = _integer_root(q, e)
+        if p**e == q and is_prime(p):
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from genrandom import random_finite_complex
+from naive_subgroups import all_subgroups, quotient_is_cyclic
 from qlverify.abelian import (
     FgAbelianGroup,
     cohomology,
@@ -19,9 +20,7 @@ from qlverify.abelian import (
 )
 from qlverify.curves import KummerCover, verify_l_identities
 from qlverify.dirichlet import (
-    all_subgroups,
     predict_k_ratio,
-    quotient_is_cyclic,
     verify_norm_identity_numberfield,
     verify_order_identity,
 )

@@ -150,8 +150,18 @@ def test_quotient_cover():
     Y = KummerCover(5, 4, (0, 1))
     assert Y.quotient(2).d == 2
     assert Y.quotient(4).d == 1
-    with pytest.raises(ValueError):
-        Y.quotient(3)
+    for bad in (3, 0, -1):
+        with pytest.raises(ValueError):
+            Y.quotient(bad)
+        with pytest.raises(ValueError):
+            l_series_intermediate(Y, bad, 0, 3)
+
+
+def test_trailing_zeros_share_one_histogram():
+    _value_log_histogram.cache_clear()
+    counts = [count_points(KummerCover(7, 3, f), 4) for f in ((1, 1), (1, 1, 0), (8, 1, 7))]
+    assert counts[0] == counts[1] == counts[2]
+    assert _value_log_histogram.cache_info().misses == 1
 
 
 def test_budget_guard():

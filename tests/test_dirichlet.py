@@ -5,24 +5,23 @@ from math import gcd
 
 import pytest
 
+from naive_subgroups import all_subgroups, quotient_is_cyclic, subgroup_generated
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify.dirichlet import (
     DirichletCharacter,
+    _characters_with_kernel,
     _crt_lift,
     all_characters,
-    all_subgroups,
     bernoulli_number,
     bernoulli_polynomial,
-    characters_with_kernel,
     conductor_and_primitivize,
     dedekind_zeta_abelian,
     dirichlet_l_value,
     field_degree,
     generalized_bernoulli,
     predict_k_ratio,
-    quotient_is_cyclic,
+    real_cyclic_fields,
     signature,
-    subgroup_generated,
     unit_group,
     units,
     verify_norm_identity_numberfield,
@@ -336,27 +335,15 @@ def test_norm_identity_rejects_noncyclic_quotient():
 
 
 def test_characters_with_kernel():
-    chars = characters_with_kernel(5, frozenset({1, 4}))
+    chars = _characters_with_kernel(5, frozenset({1, 4}))
     assert len(chars) == 1 and chars[0].order == 2
-    chars = characters_with_kernel(7, frozenset({1, 6}))
+    chars = _characters_with_kernel(7, frozenset({1, 6}))
     assert len(chars) == 2 and all(c.order == 3 for c in chars)
     # a plain set, and residues not yet reduced mod N (9 = 4 mod 5)
-    quad5 = DirichletCharacter(5, (2,))
-    assert characters_with_kernel(5, {1, 4}) == characters_with_kernel(5, {1, 9}) == (quad5,)
+    assert verify_norm_identity_numberfield(5, {1, 9}, 1).records == \
+        verify_norm_identity_numberfield(5, {1, 4}, 1).records
     with pytest.raises(ValueError):
-        characters_with_kernel(5, {1, 2})  # not closed
-
-
-def _cyclic_by_element_orders(N, H):
-    """Some unit has order [(Z/N)^x : H] in the quotient by H."""
-    index = euler_phi(N) // len(H)
-    for a in units(N):
-        t, x = 1, a
-        while x not in H:
-            x, t = (x * a) % N, t + 1
-        if t == index:
-            return True
-    return False
+        verify_norm_identity_numberfield(5, {1, 2}, 1)  # not closed
 
 
 def test_kernel_filters_match_element_oracles():
@@ -370,11 +357,23 @@ def test_kernel_filters_match_element_oracles():
                 chi for chi in all_characters(N)
                 if all(chi.value_exponent(h) == 0 for h in H) and chi.order == index
             )
-            assert characters_with_kernel(N, H) == expected, (N, sorted(H))
-            cyclic = _cyclic_by_element_orders(N, H)
-            assert quotient_is_cyclic(N, H) == cyclic, (N, sorted(H))
+            assert _characters_with_kernel(N, H) == expected, (N, sorted(H))
+            cyclic = quotient_is_cyclic(N, H)
+            assert bool(expected) == cyclic, (N, sorted(H))
             outcomes.add(cyclic)
     assert outcomes == {True, False}
+
+
+def test_real_cyclic_fields_match_subgroup_oracle():
+    """The kernels of the even characters are exactly the subgroups that
+    contain -1 and have a cyclic quotient, in the same order."""
+    total = 0
+    for N in range(1, 81):
+        expected = tuple(H for H in all_subgroups(N)
+                         if (N - 1) % N in H and quotient_is_cyclic(N, H))
+        assert real_cyclic_fields(N) == expected, N
+        total += len(expected)
+    assert total == 345
 
 
 def test_kernel_questions_evaluate_each_character_once_per_unit(monkeypatch):
@@ -386,13 +385,9 @@ def test_kernel_questions_evaluate_each_character_once_per_unit(monkeypatch):
         calls += 1
         return original(self, a)
 
-    subgroups = all_subgroups(40)
-    assert len(subgroups) == 27
     all_characters.cache_clear()  # fresh characters: no kernel cached yet
     monkeypatch.setattr(DirichletCharacter, "value_exponent", counted)
-    for H in subgroups:
-        characters_with_kernel(40, H)
-        quotient_is_cyclic(40, H)
+    assert len(real_cyclic_fields(40)) == 6
     assert calls <= euler_phi(40) ** 2
 
 
@@ -463,9 +458,7 @@ def test_subgroup_validated_once_per_public_call(monkeypatch):
     for call in (lambda: verify_norm_identity_numberfield(15, H, 1),
                  lambda: verify_order_identity(15, H, 2),
                  lambda: predict_k_ratio(15, H, 1),
-                 lambda: dedekind_zeta_abelian(15, H, -1),
-                 lambda: characters_with_kernel(15, H),
-                 lambda: quotient_is_cyclic(15, H)):
+                 lambda: dedekind_zeta_abelian(15, H, -1)):
         del calls[:]
         call()
         assert calls == [(15, H)]

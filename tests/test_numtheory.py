@@ -99,6 +99,42 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def test_primality_and_prime_powers_match_factorization():
+    """Miller-Rabin and integer roots against the definitions through the
+    trial-division factorization, for every n < 10^5 (uncached, so the
+    session's factorize cache stays small)."""
+    def decomposition(n):
+        try:
+            return prime_power_decomposition(n)
+        except ValueError:
+            return None
+
+    for n in range(-2, 100_000):
+        factors = factorize.__wrapped__(n).factors if n >= 1 else ()
+        assert is_prime(n) == (factors == ((n, 1),)), n
+        assert decomposition(n) == (factors[0] if len(factors) == 1 else None), n
+
+
+def test_primality_and_prime_powers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    samples = [3215031751, 3825123056546413051, 318665857834031151167461]
+    samples += [rng.getrandbits(64) for _ in range(300)]
+    samples += [sympy.nextprime(rng.getrandbits(64)) for _ in range(50)]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(20):
+        p = sympy.nextprime(rng.getrandbits(64))
+        small = sympy.nextprime(rng.getrandbits(32))
+        for e in (1, 2, 3, 4):
+            assert prime_power_decomposition(p**e) == (p, e)
+            with pytest.raises(ValueError):
+                prime_power_decomposition(2 * p**e)
+        with pytest.raises(ValueError):
+            prime_power_decomposition(small * sympy.nextprime(small))
+
+
 def test_multiplicative_order():
     assert multiplicative_order(4, 63) == 3
     assert multiplicative_order(2, 7) == 3

@@ -50,6 +50,7 @@ def run_cli(args):
         [sys.executable, "-m", "qlverify.cli", *args],
         capture_output=True,
         text=True,
+        timeout=120,  # a hang fails the test instead of stalling the suite
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -120,6 +121,17 @@ def test_cli_skip_only_run_counts_its_skips(capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert "no PASS or FAIL record, SKIP=1" in captured.err
+
+
+def test_cli_accepts_a_large_prime_at_once():
+    # 10^18 + 3 is prime; trial division up to its square root never ends
+    big = 10**18 + 3
+    code, out, err = run_cli(["curves", "--spec", f'{{"p": {big}, "d": 1, "f": [1, 1]}}'])
+    assert (code, out) == (2, "")
+    assert "no checks (no PASS or FAIL record, SKIP=1)" in err
+    code, out, _ = run_cli(["ffqlc", "--q", str(big), "--m-max", "2", "--k-max", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "# summary\tPASS=21\tFAIL=0\tPREDICTION=0\tSKIP=0"
 
 
 def test_cli_out_file(tmp_path):

@@ -15,15 +15,17 @@ the character with exponent a is the exponential character sum
     exp( sum_r t^r / r * sum_{x in X(F_(p^r))} zeta_d^(a * class(x)) ),
 
 where class(x) is the d-th power residue class of f(x), i.e. the discrete
-logarithm of f(x)^((p^r - 1)/d) in mu_d with respect to the fixed
-generator of F_p^x.  All series coefficients are exact cyclotomic numbers.
+logarithm of f(x)^((p^r - 1)/d) in mu_d with respect to g_p^((p-1)/d), g_p
+the smallest primitive root mod p.  All series coefficients are exact
+cyclotomic numbers.
 
 Point enumeration is exhaustive but works on discrete logarithms.  For
 each degree r, tables of F_(p^r) are built once for the generator g = x
 of F_p[x]/m, with m = gf.primitive_polynomial(p, r) the first monic
-polynomial in which x has order p^r - 1: enc_pow (g^i -> encoding), dlog
-(encoding -> i) and the Zech array zech[i] = dlog(1 + g^i).  Encodings use
-window coordinates: g^i is the base-p number with digits
+polynomial in which x has order p^r - 1 and norm g_p: enc_pow (g^i ->
+encoding), dlog (encoding -> i) and the Zech array zech[i] = dlog(1 + g^i).
+Since g^((p^r - 1)/(p - 1)) = g_p, class(x) is dlog(f(x)) mod d.
+Encodings use window coordinates: g^i is the base-p number with digits
 (u_i, ..., u_(i+r-1)), where u is the impulse response of m, the minimal
 polynomial of g.  This is an F_p-linear coordinate system in which the
 constant c encodes as c, so adding 1 only bumps digit 0.  The power walk
@@ -49,7 +51,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicNumber
 from .gf import primitive_polynomial
-from .numtheory import divisors, factorize, is_prime, smallest_primitive_root, squarefree_subsets
+from .numtheory import divisors, factorize, is_prime, squarefree_subsets
 from .report import SKIP, VerificationReport, fmt_rational
 
 # Largest field size enumerated exhaustively; beyond this the required
@@ -84,8 +86,9 @@ class PoleError(ZeroDivisionError):
 class KummerCover:
     """Total space y^d = f(x) over the punctured affine line, d | p - 1.
 
-    The group mu_d is identified with Z/d through g^((p-1)/d), where g is
-    the smallest primitive root mod p.
+    The group mu_d is identified with Z/d through g_p^((p-1)/d), where g_p
+    is the smallest primitive root mod p: the norm of the table generator
+    fixed by gf.primitive_polynomial.
     """
 
     p: int
@@ -99,10 +102,6 @@ class KummerCover:
             raise ValueError(f"d = {self.d} must divide p - 1 = {self.p - 1}")
         if all(c % self.p == 0 for c in self.f):
             raise ValueError("f must be nonzero")
-
-    @property
-    def generator(self) -> int:
-        return smallest_primitive_root(self.p)
 
     def quotient(self, subgroup_order: int) -> "KummerCover":
         """Quotient by the subgroup of order s: the cover z^(d/s) = f(x)."""
@@ -130,7 +129,8 @@ class _FieldTables:
     number with digits (u_i, ..., u_(i+r-1)).  This is an F_p-linear
     isomorphism F_(p^r) -> F_p^r that sends the constant c to c, so the
     logs of constants (dlog[c]) and "add 1 = bump digit 0" read the same
-    as in the coefficient basis.
+    as in the coefficient basis.  The norm of g is g_p, so
+    dlog[g_p] = n/(p-1) and a log mod p - 1 is a log to the base g_p.
 
     enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
     zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
@@ -278,18 +278,6 @@ def _residue_histogram_mod(p, r, f, d) -> list[int]:
     return out
 
 
-def _power_residue_unit(t: _FieldTables, g_p: int, e: int) -> int:
-    """u0 with g_field^(n/e) = (g_p^((p-1)/e))^u0 in F_p; gcd(u0, e) = 1.
-
-    The generator g_p of F_p^x is g_field^(k n/(p-1)) with gcd(k, p-1) = 1,
-    so g_p^((p-1)/e) = g_field^(k n/e) and u0 = k^(-1) mod e.
-    """
-    k, rest = divmod(int(t.dlog[g_p]), t.n // (t.p - 1))
-    if rest:
-        raise AssertionError("constant's log is not a multiple of n/(p-1)")
-    return pow(k, -1, e)
-
-
 # ---------------------------------------------------------------------------
 # point counting
 
@@ -421,17 +409,13 @@ def l_series_kummer(cover: KummerCover, a: int, order: int,
         raise ValueError("order must be >= 1")
     _check_budget(cover, order, max_field_size)
     p, d = cover.p, cover.d
-    g_p = cover.generator
     sums = []
     for r in range(1, order + 1):
-        t = _tables(p, r)
-        res = _residue_histogram_mod(p, r, cover.f, d)
-        u0 = _power_residue_unit(t, g_p, d)
+        # the class of f(x) is its log mod d
         s_r = CyclotomicNumber.rational(d, 0)
-        for c, count in enumerate(res):
+        for c, count in enumerate(_residue_histogram_mod(p, r, cover.f, d)):
             if count:
-                cls = (u0 * c) % d if d > 1 else 0
-                s_r = s_r + count * CyclotomicNumber.zeta(d, (a * cls) % d)
+                s_r = s_r + count * CyclotomicNumber.zeta(d, a * c)
         sums.append(s_r)
     return TruncatedLSeries.from_log_sums(d, sums)
 
@@ -440,52 +424,38 @@ def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int)
     """For W = Y/(subgroup of order s), bucket the points (x, z) of W over
     F_(p^r) by the s-th power residue class of the coordinate z.
 
-    z ranges over the roots of z^(d/s) = f(x), whose dlogs are
-    iota(f(x))/(d/s) + j*(n/(d/s)) for j = 0..d/s-1; everything needed mod s
-    is already determined by iota(f(x)) mod d, so the folded histogram
-    suffices.
+    With e = d/s, a point x with dlog(f(x)) = c has e roots z exactly
+    when e | c, with dlogs c/e + j n/e for j < e.  As n/e is a multiple
+    of s, all e roots share the class (c/e) mod s, which c mod d already
+    determines, so the folded histogram suffices.
     """
-    p, d = cover.p, cover.d
     s = subgroup_order
-    e_top = d // s  # exponent of the equation z^(e_top) = f(x)
-    t = _tables(p, r)
-    res = _residue_histogram_mod(p, r, cover.f, d)
-    u0_s = _power_residue_unit(t, cover.generator, s)
-    n = t.n
-    buckets = [0] * max(s, 1)
-    for c, count in enumerate(res):
-        if count == 0 or c % e_top != 0:
-            continue
-        for j in range(e_top):
-            log_z = c // e_top + j * (n // e_top)
-            cls = (u0_s * (log_z % s)) % s if s > 1 else 0
-            buckets[cls] += count
+    e_top = cover.d // s  # exponent of the equation z^(e_top) = f(x)
+    buckets = [0] * s
+    for c, count in enumerate(_residue_histogram_mod(cover.p, r, cover.f, cover.d)):
+        if c % e_top == 0:
+            buckets[(c // e_top) % s] += e_top * count
     return buckets
 
 
 def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order: int,
-                          level: int | None = None,
                           max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> TruncatedLSeries:
     """L-series of the top cover restricted to the subgroup of order s,
     computed over the intermediate quotient W = Y/C_s as base: the sum over
-    points (x, z) of W of zeta_s^(b * class_s(z)).  Returned at the given
-    level (default d) for direct comparison with products of level-d series."""
-    s = subgroup_order
-    if s < 1 or cover.d % s != 0:
-        raise ValueError(f"subgroup order {s} is not a positive divisor of {cover.d}")
-    level = cover.d if level is None else level
-    if level % s != 0:
-        raise ValueError("level must be a multiple of the subgroup order")
+    points (x, z) of W of zeta_s^(b * class_s(z)).  Returned at level d for
+    direct comparison with products of level-d series."""
+    s, d = subgroup_order, cover.d
+    if s < 1 or d % s != 0:
+        raise ValueError(f"subgroup order {s} is not a positive divisor of {d}")
     _check_budget(cover, order, max_field_size)
     sums = []
     for r in range(1, order + 1):
-        buckets = _intermediate_class_buckets(cover, s, r)
-        s_r = CyclotomicNumber.rational(level, 0)
-        for cls, count in enumerate(buckets):
+        s_r = CyclotomicNumber.rational(d, 0)
+        for cls, count in enumerate(_intermediate_class_buckets(cover, s, r)):
             if count:
-                s_r = s_r + count * CyclotomicNumber.zeta(level, (level // s) * ((b * cls) % s))
+                s_r = s_r + count * CyclotomicNumber.zeta(d, (d // s) * (b * cls % s))
         sums.append(s_r)
-    return TruncatedLSeries.from_log_sums(level, sums)
+    return TruncatedLSeries.from_log_sums(d, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +599,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
     #       equals the L-series computed over the intermediate quotient
     for s in divisors(d):
         for b in range(s):
-            rhs = l_series_intermediate(cover, s, b, B, level=d, max_field_size=max_field_size)
+            rhs = l_series_intermediate(cover, s, b, B, max_field_size=max_field_size)
             rep.check(case, f"induction s={s} b={b}",
                       "restricting_char_product|intermediate_base_sum",
                       restricted[s, b].coeffs, rhs.coeffs, render=_series_str)

@@ -338,11 +338,9 @@ def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
     if not z.is_integral:
         raise ValueError("integral element required")
     phi = euler_phi(z.level)
-    cols = []
-    for i in range(phi):
-        col = (z * CyclotomicNumber.zeta(z.level, i)) if i else z
-        cols.append(list(col.num))  # den == 1 for integral z
-    return IntMatrix.from_rows([[cols[j][i] for j in range(phi)] for i in range(phi)], phi)
+    # column i is zeta^i z: the coefficients of z shifted up by i, reduced
+    cols = [_reduce(z.level, (0,) * i + z.num) for i in range(phi)]  # den == 1
+    return IntMatrix.from_rows(zip(*cols), phi)
 
 
 def quotient_by_principal(m: int, z: CyclotomicNumber) -> FgAbelianGroup:

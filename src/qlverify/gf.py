@@ -5,8 +5,11 @@ equivalently integers 0 <= n < p^r via base-p encoding.  The modulus is the
 monic irreducible polynomial of degree r whose non-leading coefficient
 vector has the smallest base-p encoding.  The tables of the curve engine
 use primitive_polynomial instead: the first candidate in the same order in
-which x generates the multiplicative group.  Irreducibility is Ben-Or's
-gcd test.
+which x generates the multiplicative group and has norm g_p, the smallest
+primitive root mod p.  That norm condition is the one place where the
+package fixes its generators: x^((p^r - 1)/(p - 1)) = g_p in every degree,
+so a log in F_(p^r) taken mod p - 1 is already a log to the base g_p.
+Irreducibility is Ben-Or's gcd test.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import factorize, is_prime, multiplicative_order
+from .numtheory import factorize, is_prime, smallest_primitive_root
 
 
 # -- dense polynomials over F_p, lowest degree first, no trailing zeros ------
@@ -121,27 +124,29 @@ def default_modulus(p: int, r: int) -> tuple[int, ...]:
 
 def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     """The first monic m of degree r, in default_modulus's candidate order,
-    that is irreducible over F_p and in which x has multiplicative order
-    n = p^r - 1.  So m is the minimal polynomial of the generator x of
-    F_(p^r)^x = (F_p[x]/m)^x.
+    that is irreducible over F_p, in which x has multiplicative order
+    n = p^r - 1, and whose norm (-1)^r m(0) mod p is g_p, the smallest
+    primitive root mod p.  So m is the minimal polynomial of a generator x
+    of F_(p^r)^x = (F_p[x]/m)^x with x^(n/(p-1)) = g_p: the tables of
+    every degree share the generator g_p of F_p^x, as Conway polynomials
+    do (the norm onto F_p^x maps the generators of F_(p^r)^x onto those of
+    F_p^x, so such an m exists).
 
     >>> primitive_polynomial(2, 4)  # x^4 + x + 1
     (1, 1, 0, 0, 1)
     >>> primitive_polynomial(3, 2), default_modulus(3, 2)  # x^2 + 1 has x^4 = 1
     ((2, 1, 1), (1, 0, 1))
-    >>> primitive_polynomial(7, 1)  # x - 5: 5 generates F_7^x
-    (2, 1)
+    >>> primitive_polynomial(7, 1)  # x - 3: 3 is the smallest primitive root mod 7
+    (4, 1)
     """
     candidates = _monic_candidates(p, r)  # checks p and r before factorize(n)
     n = p**r - 1
     order_primes = factorize(n).primes
+    g_p = smallest_primitive_root(p) % p
     for m in candidates:
-        # (-1)^r m(0) is the norm of x (0 when x divides m).  The norm
-        # F_(p^r)^x -> F_p^x is onto, so it maps a generator to a generator:
-        # this integer test rejects most candidates before any polynomial
-        # arithmetic
-        norm = (-1) ** r * m[0] % p
-        if (norm and multiplicative_order(norm, p) == p - 1 and is_irreducible(m, p)
+        # (-1)^r m(0) is the norm of x: this integer test rejects all but
+        # one candidate in p before any polynomial arithmetic
+        if ((-1) ** r * m[0] % p == g_p and is_irreducible(m, p)
                 and all(poly_pow_mod([0, 1], n // ell, m, p) != [1] for ell in order_primes)):
             return tuple(m)
     raise AssertionError("no primitive polynomial found")

@@ -4,7 +4,8 @@ Everything here is exact and sized for desk-scale moduli (trial division
 is deliberate; nothing in this package factors anything near cryptographic
 sizes).  Primality and prime-power tests do not factor: is_prime is a
 deterministic Miller-Rabin test, so a large prime given on the command line
-is accepted or rejected at once.
+is accepted or rejected at once, and a number beyond the test's bound is
+refused with a ValueError rather than factored.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test with the prime bases 2..41, exact for
-    n < 3.3 * 10^24; above that bound n is factored by trial division.
+    n < 3.3 * 10^24.  Above that bound only a prime factor <= 41 decides:
+    any other n raises ValueError.
 
     >>> [n for n in range(20) if is_prime(n)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -127,7 +129,8 @@ def is_prime(n: int) -> bool:
         if n % a == 0:
             return n == a
     if n >= _MILLER_RABIN_BOUND:
-        return factorize(n).factors == ((n, 1),)
+        raise ValueError(f"cannot decide whether {n} is prime: it is at least "
+                         f"{_MILLER_RABIN_BOUND} and has no prime factor <= 41")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -155,6 +158,9 @@ def _integer_root(n: int, e: int) -> int:
         x = y
 
 
+# Cached like factorize: the finite-field verifiers revalidate the same q
+# in every cell.  A ValueError is not cached.
+@lru_cache(maxsize=None)
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Write q = p^e for a prime p, or raise ValueError.
 

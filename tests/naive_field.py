@@ -8,11 +8,13 @@ from __future__ import annotations
 from collections import Counter
 
 from qlverify.gf import FieldExt
+from qlverify.numtheory import smallest_primitive_root
 
 
 def frobenius_class(cover, field: FieldExt, x) -> int:
-    """d-th power residue class of f(x): the dlog, base g^((p-1)/d), of
-    f(x)^((p^r - 1)/d) in mu_d inside F_p^x.  Single-point, table-free."""
+    """d-th power residue class of f(x): the dlog, base g_p^((p-1)/d) with
+    g_p the smallest primitive root mod p, of f(x)^((p^r - 1)/d) in mu_d
+    inside F_p^x.  Single-point, table-free."""
     if field.p != cover.p:
         raise ValueError("field characteristic mismatch")
     u = field.eval_poly(cover.f, x)
@@ -24,7 +26,7 @@ def frobenius_class(cover, field: FieldExt, x) -> int:
     if any(c != 0 for c in w[1:]):
         raise AssertionError("power residue did not land in the prime field")
     target = w[0]
-    v = pow(cover.generator, (cover.p - 1) // cover.d, cover.p)
+    v = pow(smallest_primitive_root(cover.p), (cover.p - 1) // cover.d, cover.p)
     acc = 1
     for cls in range(cover.d):
         if acc == target:

@@ -18,7 +18,6 @@ from qlverify.curves import (
     l_series_kummer,
     l_special_value_curve,
     rational_reconstruction,
-    _power_residue_unit,
     _tables,
     _value_log_histogram,
     verify_l_identities,
@@ -27,7 +26,7 @@ from qlverify.curves import (
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify import gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
-from qlverify.numtheory import divisors, multiplicative_order
+from qlverify.numtheory import divisors, smallest_primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +76,15 @@ def test_is_irreducible_matches_sympy():
 
 
 def first_primitive_by_stepping(p, r):
-    """The first monic m in which the powers x^k mod m first return to 1
-    at k = p^r - 1, found by multiplying by x one step at a time."""
+    """The first monic m with norm (-1)^r m(0) = g_p mod p, the smallest
+    primitive root, in which the powers x^k mod m first return to 1 at
+    k = p^r - 1, found by multiplying by x one step at a time."""
     n = p**r - 1
     one = [1] + [0] * (r - 1)
+    g_p = smallest_primitive_root(p) % p
     for m in monic_polynomials(p, r):
+        if (-1) ** r * m[0] % p != g_p:
+            continue
         state, k = one, 0
         while k < n:
             top = state[-1]  # x * state = top * x^r + shifted, x^r = -m[:r]
@@ -241,19 +244,18 @@ def test_tables_need_no_field_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2), (13, 2), (131, 1)])
 def test_constant_root_of_unity_has_exact_order(p, r):
-    """_power_residue_unit against a search: read the constant
-    w = g_field^(n/e) off the table, check that it has order e, and find the
-    power of g_p^((p-1)/e) equal to it, for every generator g_p of F_p^x."""
+    """The table generator g has norm g_p, the smallest primitive root:
+    dlog(g_p) = n/(p-1), and for every e | p - 1 the constant
+    w = g^(n/e), read off the table, has order e and equals g_p^((p-1)/e),
+    so a log mod e is the e-th power residue class to the base g_p."""
     t = _tables(p, r)
-    generators = [g for g in range(1, p) if multiplicative_order(g, p) == p - 1]
+    g_p = smallest_primitive_root(p)
+    assert t.dlog[g_p % p] == t.n // (p - 1)
     for e in divisors(p - 1):
         w = int(t.enc_pow[t.n // e]) if e > 1 else 1
         assert 0 < w < p
         assert min(k for k in range(1, e + 1) if pow(w, k, p) == 1) == e
-        for g_p in generators:
-            v = pow(g_p, (p - 1) // e, p)
-            u0 = next(u for u in range(e) if pow(v, u, p) == w)
-            assert _power_residue_unit(t, g_p, e) == u0, (g_p, e)
+        assert w == pow(g_p, (p - 1) // e, p), e
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def test_induction_identity_standalone():
             lhs = TruncatedLSeries.one(4, B)
             for a in range(b, 4, s):
                 lhs = lhs * L[a]
-            rhs = l_series_intermediate(cover, s, b, B, level=4)
+            rhs = l_series_intermediate(cover, s, b, B)
             assert lhs.coeffs == rhs.coeffs
 
 
@@ -455,10 +457,11 @@ def naive_intermediate_buckets(cover, s, r):
 def test_intermediate_buckets_match_naive_enumeration():
     from qlverify.curves import _intermediate_class_buckets
 
-    for p, d, f in ((5, 4, (1, 1)), (7, 6, (2, 1)), (3, 2, (0, 1, 0, 1))):
+    for p, d, f, degrees in ((5, 4, (1, 1), (1, 2)), (7, 6, (2, 1), (1, 2)),
+                             (3, 2, (0, 1, 0, 1), (1, 2)), (13, 12, (5, 0, 1), (1,))):
         cover = KummerCover(p, d, f)
-        for s in [t for t in range(1, d + 1) if d % t == 0]:
-            for r in (1, 2):
+        for s in divisors(d):
+            for r in degrees:
                 assert (
                     _intermediate_class_buckets(cover, s, r)
                     == naive_intermediate_buckets(cover, s, r)

@@ -219,6 +219,21 @@ def test_quotient_multiplication_matrix_example():
     assert multiplication_matrix(w).data == ((1, 2), (-2, 3))
 
 
+def product_built_multiplication_matrix(z):
+    """Oracle: column i is the ring product z * zeta^i."""
+    phi = euler_phi(z.level)
+    cols = [(z * CyclotomicNumber.zeta(z.level, i)).num for i in range(phi)]
+    return tuple(tuple(col[row] for col in cols) for row in range(phi))
+
+
+def test_multiplication_matrix_matches_products():
+    rng = random.Random(29)
+    for m in range(1, 31):
+        for _ in range(4):
+            z = CyclotomicNumber.from_coeffs(m, [rng.randint(-5, 5) for _ in range(euler_phi(m))])
+            assert multiplication_matrix(z).data == product_built_multiplication_matrix(z), (m, z)
+
+
 def test_quotient_order_is_abs_norm():
     rng = random.Random(5)
     for m in (2, 3, 4, 5, 6, 8, 12):

@@ -225,3 +225,16 @@ def test_structure_quotient_independent_of_conjugate():
                 z = 1 - CyclotomicNumber.zeta(m, a) * 9
                 groups.add(quotient_by_principal(m, z))
         assert len(groups) == 1
+
+
+def test_each_q_is_validated_once_per_run():
+    from qlverify.cli import run_ffqlc
+    from qlverify.numtheory import prime_power_decomposition
+
+    # the matrix validates each q in {2, 3, 5, 7} in every cell; the induced
+    # samples add the twelve sizes q^2, q^3, q^4 of their summands' base fields
+    before = prime_power_decomposition.cache_info()
+    assert run_ffqlc([2, 3, 5, 7], 12, 6).ok
+    after = prime_power_decomposition.cache_info()
+    assert after.misses - before.misses <= 4 + 12
+    assert after.hits > before.hits

@@ -94,6 +94,17 @@ def test_prime_power_decomposition():
             prime_power_decomposition(bad)
 
 
+def test_is_prime_refuses_what_it_cannot_decide():
+    """Above the Miller-Rabin bound only a prime factor <= 41 decides; the
+    product of the primes 10000000000037 and 1000000000039 is refused at
+    once, not factored."""
+    assert is_prime(2**100) is False
+    big = 10000000000037 * 1000000000039
+    for decide in (is_prime, prime_power_decomposition):
+        with pytest.raises(ValueError, match="cannot decide"):
+            decide(big)
+
+
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]

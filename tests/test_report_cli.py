@@ -134,6 +134,16 @@ def test_cli_accepts_a_large_prime_at_once():
     assert out.splitlines()[-1] == "# summary\tPASS=21\tFAIL=0\tPREDICTION=0\tSKIP=0"
 
 
+def test_cli_refuses_an_undecidable_prime_at_once():
+    # above 3.3 * 10^24 with no prime factor <= 41: neither factored nor tested
+    big = 10000000000037 * 1000000000039
+    for args in (["ffqlc", "--q", str(big), "--m-max", "1", "--k-max", "1"],
+                 ["curves", "--spec", f'{{"p": {big}, "d": 1, "f": [1, 1]}}']):
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "")
+        assert "usage error" in err and "cannot decide" in err and "Traceback" not in err
+
+
 def test_cli_out_file(tmp_path):
     target = tmp_path / "report.tsv"
     code, out, _ = run_cli(["--out", str(target), "ffqlc", "--q", "2", "--m-max", "1", "--k-max", "1"])

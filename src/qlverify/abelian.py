@@ -317,14 +317,14 @@ class FgAbelianGroup:
 
 @dataclass(frozen=True)
 class PresentedAbelianGroup:
-    """Z^n_generators modulo the column span of the relation matrix."""
+    """Z^n modulo the column span of the relation matrix, one row per
+    generator, so n is relations.rows."""
 
-    n_generators: int
     relations: IntMatrix
 
-    def __post_init__(self):
-        if self.relations.rows != self.n_generators:
-            raise ValueError("relation matrix must have one row per generator")
+    @property
+    def n_generators(self) -> int:
+        return self.relations.rows
 
     @classmethod
     def diagonal(cls, orders) -> "PresentedAbelianGroup":
@@ -341,7 +341,7 @@ class PresentedAbelianGroup:
         if any(n < 0 for n in orders):
             raise ValueError("nonnegative orders required")
         cols = [j for j, n in enumerate(orders) if n]
-        return cls(len(orders), IntMatrix(len(orders), len(cols), tuple(
+        return cls(IntMatrix(len(orders), len(cols), tuple(
             tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders))))
 
     def normal_form(self) -> FgAbelianGroup:
@@ -419,7 +419,7 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     if i == C.hi:
         # d^i = 0: the kernel is all of Z^n, so the image is already
         # expressed in the kernel generators
-        return PresentedAbelianGroup(src.n_generators, image).normal_form()
+        return PresentedAbelianGroup(image).normal_form()
     # kernel of the induced map: x with d^i(x) in the relation span of the target
     d = C.differentials[i - C.lo]
     ker = integer_kernel(d.hstack(C.term(i + 1).relations))
@@ -428,7 +428,7 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     X, gens_kernel = _solve(gens, image)
     if X is None:
         raise NoIntegerSolution
-    return PresentedAbelianGroup(gens.cols, gens_kernel.hstack(X)).normal_form()
+    return PresentedAbelianGroup(gens_kernel.hstack(X)).normal_form()
 
 
 def euler_number(C: BoundedComplex) -> Fraction:

@@ -37,7 +37,7 @@ def run_ffqlc(q_list, m_max: int, k_max: int) -> VerificationReport:
         for m in range(1, m_max + 1):
             for a in range(m):
                 for k in range(1, k_max + 1):
-                    report.extend(verify_main_theorem_ff(q, m, CyclicCharacter(m, a), k))
+                    report.extend(verify_main_theorem_ff(q, CyclicCharacter(m, a), k))
     for q in q_list:
         samples = []
         if m_max >= 4:

@@ -236,7 +236,7 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
     t = _tables(p, r)
     n = t.n
     logs_c = [np.int64(t.dlog[c]) if c else None for c in f]
-    hist = np.zeros(p - 1 if p > 2 else 1, dtype=np.int64)
+    hist = np.zeros(p - 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
         acc = np.full(i.size, logs_c[-1], dtype=np.int64)

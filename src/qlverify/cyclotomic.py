@@ -343,17 +343,16 @@ def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
     return IntMatrix.from_rows(zip(*cols), phi)
 
 
-def quotient_by_principal(m: int, z: CyclotomicNumber) -> FgAbelianGroup:
-    """The abelian group Z[zeta_m]/(z) for integral z != 0, in invariant factors.
+def quotient_by_principal(z: CyclotomicNumber) -> FgAbelianGroup:
+    """The abelian group Z[zeta_m]/(z) for integral z != 0, in invariant
+    factors, where m is z.level.
 
     Computed as the cokernel of the multiplication-by-z matrix; its order
     equals |norm_to_Q(z)|.
     """
-    if z.level != m:
-        raise ValueError("level mismatch")
     if z.is_zero:
         raise ZeroDivisionError("quotient by (0) is infinite")
-    return PresentedAbelianGroup(euler_phi(m), multiplication_matrix(z)).normal_form()
+    return PresentedAbelianGroup(multiplication_matrix(z)).normal_form()
 
 
 # -- low-level polynomial helpers used by inverse() ---------------------------

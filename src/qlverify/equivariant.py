@@ -78,31 +78,32 @@ class CyclicMackeyData:
         return self.orders[small] // self.orders[big]
 
 
-def _cech_complex(labels, order_of: Callable[[tuple], int],
-                  multiplier: Callable[[tuple, tuple], int]) -> BoundedComplex:
+def _cech_complex(labels, order_of: Callable[[tuple], int]) -> BoundedComplex:
     """Cochain complex indexed by subsets of labels, degrees -len(labels)..0.
 
     order_of(S) gives the order of the cyclic group attached to the subset
-    S (a sorted tuple); multiplier(S, T) the integer map for dropping one
-    label, T = S minus one element.  The component sign is (-1)^j where j
-    is the 1-based position of the dropped label in sorted(S).
+    S (a sorted tuple).  The map for dropping one label, S -> T, is the
+    subgroup inclusion Z/order_of(S) -> Z/order_of(T), multiplication by
+    order_of(T) // order_of(S), so order_of(S) must divide order_of(T).
+    Its sign is (-1)^j, where j is the 1-based position of the dropped
+    label in S.
     """
     labels = tuple(sorted(labels))
     n = len(labels)
     subsets_by_size = [list(itertools.combinations(labels, size)) for size in range(n, -1, -1)]
-    terms = tuple(PresentedAbelianGroup.diagonal(map(order_of, subsets)) for subsets in subsets_by_size)
+    orders = {S: order_of(S) for subsets in subsets_by_size for S in subsets}
+    terms = tuple(PresentedAbelianGroup.diagonal(orders[S] for S in subsets) for subsets in subsets_by_size)
 
-    def entry(S, T) -> int:
-        if not set(T) <= set(S):
-            return 0
-        j = next(i for i, x in enumerate(S, 1) if x not in T)
-        return (-1) ** j * multiplier(S, T)
-
-    diffs = tuple(
-        IntMatrix.from_rows([[entry(S, T) for S in sources] for T in targets], len(sources))
-        for sources, targets in zip(subsets_by_size, subsets_by_size[1:])
-    )
-    return BoundedComplex(-n, terms, diffs)
+    diffs = []
+    for sources, targets in zip(subsets_by_size, subsets_by_size[1:]):
+        row_of = {T: i for i, T in enumerate(targets)}
+        rows = [[0] * len(sources) for _ in targets]
+        for col, S in enumerate(sources):
+            for j in range(len(S)):
+                T = S[:j] + S[j + 1:]
+                rows[row_of[T]][col] = (-1) ** (j + 1) * (orders[T] // orders[S])
+        diffs.append(IntMatrix.from_rows(rows, len(sources)))
+    return BoundedComplex(-n, terms, tuple(diffs))
 
 
 @lru_cache(maxsize=1)
@@ -117,18 +118,12 @@ def moore_cochain_complex(M: CyclicMackeyData) -> BoundedComplex:
     of one datum builds and validates it once.  Mackey data are frozen and
     compare by identity, so the cache key is the datum itself.
     """
-    return _cech_complex(
-        factorize(M.m).primes,
-        lambda S: M.orders[prod(S)],
-        lambda S, T: M.multiplier(prod(S), prod(T)),
-    )
+    return _cech_complex(factorize(M.m).primes, lambda S: M.orders[prod(S)])
 
 
 def bredon_cohomology(M: CyclicMackeyData, s: int) -> FgAbelianGroup:
-    """H^s of the Moore cochain complex; s must lie in [-l, 0]."""
-    l = factorize(M.m).num_distinct_primes
-    if not -l <= s <= 0:
-        raise ValueError(f"degree {s} outside [-{l}, 0]")
+    """H^s of the Moore cochain complex; s must lie in [-l, 0], or
+    ValueError is raised."""
     return cohomology(moore_cochain_complex(M), s)
 
 
@@ -169,16 +164,8 @@ def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:
     if mod < 1:
         raise ValueError("modulus must be positive")
     ds = [gcd(int(g), mod) for g in subgroup_gens]
-
-    def gen_of(S) -> int:
-        # intersection of the subgroups indexed by S is generated by the lcm
-        return lcm(*(ds[i] for i in S))
-
-    return _cech_complex(
-        range(len(ds)),
-        lambda S: mod // gen_of(S),
-        lambda S, T: gen_of(S) // gen_of(T),
-    )
+    # the intersection of the subgroups indexed by S is generated by the lcm
+    return _cech_complex(range(len(ds)), lambda S: mod // lcm(*(ds[i] for i in S)))
 
 
 def cech_h0_oracle(mod: int, subgroup_gens) -> FgAbelianGroup:

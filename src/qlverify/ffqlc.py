@@ -107,27 +107,28 @@ def moebius_zeta_product_ff(q: int, m: int, k: int) -> Fraction:
     return result
 
 
-def equivariant_k_finite_field(q: int, m: int, rep, t: int) -> FgAbelianGroup:
+def equivariant_k_finite_field(q: int, rep, t: int) -> FgAbelianGroup:
     """Equivariant homotopy group in degree t >= 1 with coefficients in a
-    character of C_m or an InducedRepFF.
+    character of C_m or an InducedRepFF; m is rep.m.
 
     Characters first descend to their primitive quotient; induced sums
     reduce summand by summand, replacing the base field by the fixed field
     F_{q^(m/h)} of the inducing subgroup.
+
+    >>> print(equivariant_k_finite_field(2, CyclicCharacter(4, 1), 1))
+    Z/5
+    >>> print(equivariant_k_finite_field(2, InducedRepFF(4, ((2, 1, 2),)), 1))
+    Z/5 x Z/5
     """
     if t < 1:
         raise ValueError("degree must be >= 1 (the degree-0 free part is unsupported)")
     if isinstance(rep, InducedRepFF):
-        if rep.m != m:
-            raise ValueError("ambient group order mismatch")
         pieces = []
         for h, a, mult in rep.summands:
-            pieces += [equivariant_k_finite_field(q ** (m // h), h, CyclicCharacter(h, a), t)] * mult
+            pieces += [equivariant_k_finite_field(q ** (rep.m // h), CyclicCharacter(h, a), t)] * mult
         return FgAbelianGroup.trivial().direct_sum(*pieces)
     if not isinstance(rep, CyclicCharacter):
         raise TypeError("rep must be a CyclicCharacter or InducedRepFF")
-    if rep.m != m:
-        raise ValueError("group order mismatch")
     if t % 2 == 0:
         return FgAbelianGroup.trivial()
     prim = rep.primitivize()
@@ -145,16 +146,19 @@ def gcd_order_closed_form(q: int, m_eff: int, k: int) -> int:
     return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in factorize(m_eff).primes))
 
 
-def verify_main_theorem_ff(q: int, m: int, chi: CyclicCharacter, k: int) -> VerificationReport:
-    """Cross-check all five computation paths for one (q, m, chi, k) case.
+def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> VerificationReport:
+    """Cross-check all five computation paths for one (q, chi, k) case,
+    chi a character of C_m with m = chi.m.
 
     Mismatches become FAIL records, never exceptions.  A non-cyclic odd
     group would be flagged (SKIP) rather than failed, provided the two
     structural paths still agree.
+
+    >>> report = verify_main_theorem_ff(2, CyclicCharacter(2, 1), 1)
+    >>> report.ok, len(report.records)
+    (True, 7)
     """
-    if chi.m != m:
-        raise ValueError("character group order mismatch")
-    case = f"ffqlc q={q} m={m} a={chi.a % m} k={k}"
+    case = f"ffqlc q={q} m={chi.m} a={chi.a % chi.m} k={k}"
     rep = VerificationReport()
     prim = chi.primitivize()
 
@@ -162,8 +166,8 @@ def verify_main_theorem_ff(q: int, m: int, chi: CyclicCharacter, k: int) -> Veri
     norm_l = l_value.norm_to_Q()
     moebius = moebius_zeta_product_ff(q, prim.m, k)
 
-    pi_odd = equivariant_k_finite_field(q, m, chi, 2 * k - 1)
-    pi_even = equivariant_k_finite_field(q, m, chi, 2 * k)
+    pi_odd = equivariant_k_finite_field(q, chi, 2 * k - 1)
+    pi_even = equivariant_k_finite_field(q, chi, 2 * k)
 
     rep.add(case, "l_value", "cyclotomic_inverse",
             json.dumps(l_value.as_json(), sort_keys=True), PASS)
@@ -176,9 +180,7 @@ def verify_main_theorem_ff(q: int, m: int, chi: CyclicCharacter, k: int) -> Veri
     rep.check(case, "norm_vs_k_ratio", "conjugate_product|signed_pi_ratio",
               norm_l, ratio, render=fmt_rational)
 
-    structural = quotient_by_principal(
-        prim.m, 1 - CyclotomicNumber.zeta(prim.m, prim.a) * q**k
-    )
+    structural = quotient_by_principal(1 - CyclotomicNumber.zeta(prim.m, prim.a) * q**k)
     rep.check(case, "pi_odd_structure", "bredon_H0|cyclotomic_quotient",
               pi_odd, structural)
 
@@ -213,11 +215,11 @@ def verify_induced_ff(q: int, rep_spec: InducedRepFF, k: int) -> VerificationRep
         if chi.is_trivial:
             trivial_count += mult
         prim = chi.primitivize()
-        pieces += [quotient_by_principal(prim.m, 1 - CyclotomicNumber.zeta(prim.m, prim.a) * base**k)] * mult
+        pieces += [quotient_by_principal(1 - CyclotomicNumber.zeta(prim.m, prim.a) * base**k)] * mult
     structural = FgAbelianGroup.trivial().direct_sum(*pieces)
 
-    pi_odd = equivariant_k_finite_field(q, m, rep_spec, 2 * k - 1)
-    pi_even = equivariant_k_finite_field(q, m, rep_spec, 2 * k)
+    pi_odd = equivariant_k_finite_field(q, rep_spec, 2 * k - 1)
+    pi_even = equivariant_k_finite_field(q, rep_spec, 2 * k)
 
     sign = (-1) ** trivial_count
     ratio = Fraction(sign * pi_even.order(), pi_odd.order())

@@ -108,7 +108,7 @@ def _disguise(rng: random.Random, C: BoundedComplex) -> BoundedComplex:
             rel = rel.hstack(IntMatrix.from_rows(
                 [[combos[j][i] for j in range(extra_cols)] for i in range(rel.rows)],
                 extra_cols))
-        new_terms.append(PresentedAbelianGroup(term.n_generators, rel))
+        new_terms.append(PresentedAbelianGroup(rel))
     new_diffs = []
     for i, d in enumerate(C.differentials):
         q_tgt, _ = qs[i + 1]

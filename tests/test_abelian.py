@@ -186,7 +186,7 @@ def test_normal_form_examples():
     assert PresentedAbelianGroup.diagonal([12]).normal_form() == FgAbelianGroup.cyclic(12)
     assert PresentedAbelianGroup.diagonal([1]).normal_form().is_trivial
     assert PresentedAbelianGroup.diagonal([0, 0]).normal_form() == FgAbelianGroup(2, ())
-    g = PresentedAbelianGroup(2, IntMatrix.from_rows([[2, 0], [0, 3]], 2)).normal_form()
+    g = PresentedAbelianGroup(IntMatrix.from_rows([[2, 0], [0, 3]], 2)).normal_form()
     assert g == FgAbelianGroup(0, (6,))
 
 
@@ -210,7 +210,7 @@ def test_normal_form_idempotent_and_order_multiplicative():
         rel = IntMatrix.from_rows(
             [[rng.randint(-8, 8) for _ in range(ncols)] for _ in range(n)], ncols
         )
-        g = PresentedAbelianGroup(n, rel).normal_form()
+        g = PresentedAbelianGroup(rel).normal_form()
         # idempotence: re-presenting the normal form reproduces it
         g2 = PresentedAbelianGroup.diagonal([0] * g.rank + list(g.invariant_factors)).normal_form()
         assert g2 == g
@@ -240,7 +240,7 @@ def test_direct_sum_recombines_invariant_factors():
     assert FgAbelianGroup.trivial().direct_sum() == FgAbelianGroup.trivial()
     rng = random.Random(17)
     for _ in range(200):
-        groups = [PresentedAbelianGroup(n, IntMatrix.from_rows(
+        groups = [PresentedAbelianGroup(IntMatrix.from_rows(
             [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)], n)).normal_form()
             for n in (rng.randint(0, 3) for _ in range(rng.randint(1, 4)))]
         assert groups[0].direct_sum(*groups[1:]) == elementary_divisor_sum(*groups), groups
@@ -383,7 +383,7 @@ def test_membership_matches_sympy_hermite_form():
             inside += expected
             outside += not expected
         B = IntMatrix.from_rows(list(zip(*cols)), len(cols))
-        assert PresentedAbelianGroup(n, M).relations_contain(B) == sympy_contains(M, B), (M, B)
+        assert PresentedAbelianGroup(M).relations_contain(B) == sympy_contains(M, B), (M, B)
     assert inside > 100 and outside > 100
 
     # diagonal presentations, and matrices with at most one nonzero entry
@@ -401,8 +401,8 @@ def test_membership_matches_sympy_hermite_form():
                 cols.append([rng.choice([-1, 1]) * rng.randint(0, 3) * orders[i] if r == i else 0
                              for r in range(n)])
             rng.shuffle(cols)
-            G = PresentedAbelianGroup(n, IntMatrix.from_rows(list(zip(*cols)) if cols else [()] * n,
-                                                             len(cols)))
+            G = PresentedAbelianGroup(IntMatrix.from_rows(list(zip(*cols)) if cols else [()] * n,
+                                                          len(cols)))
         M = G.relations
         targets = [mat_vec(M, [rng.randint(-3, 3) for _ in range(M.cols)]) if rng.random() < 0.5
                    else tuple(rng.randint(-13, 13) for _ in range(n)) for _ in range(rng.randint(1, 3))]
@@ -442,13 +442,13 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
     snf = count_calls(monkeypatch, abelian, "_smith")
     normal_forms = count_calls(monkeypatch, PresentedAbelianGroup, "normal_form")
 
-    group = PresentedAbelianGroup(2, IntMatrix.from_rows([[2, 4, 6], [0, 3, 9]], 3))
+    group = PresentedAbelianGroup(IntMatrix.from_rows([[2, 4, 6], [0, 3, 9]], 3))
     mat = IntMatrix.from_rows([[2, 6, 8, 1], [3, 12, 3, 0]])
     assert not group.relations_contain(mat)
     assert group.relations_contain(IntMatrix.from_rows([[2, 6, 8], [3, 12, 3]]))
     assert len(snf) == 2
     # one generator: divisibility by the gcd of the relation row, no reduction
-    assert PresentedAbelianGroup(1, IntMatrix.from_rows([[4, 6]], 2)).relations_contain(
+    assert PresentedAbelianGroup(IntMatrix.from_rows([[4, 6]], 2)).relations_contain(
         IntMatrix.from_rows([[2, 8, -10]]))
     assert not PresentedAbelianGroup.diagonal([0]).relations_contain(IntMatrix.from_rows([[0, 3]]))
     assert len(snf) == 2

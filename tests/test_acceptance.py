@@ -48,8 +48,8 @@ def test_criterion_1_theorem_golden_case():
     chi = CyclicCharacter(2, 1)
     for q in (2, 3, 4, 5):
         for k in range(1, 7):
-            odd = equivariant_k_finite_field(q, 2, chi, 2 * k - 1)
-            even = equivariant_k_finite_field(q, 2, chi, 2 * k)
+            odd = equivariant_k_finite_field(q, chi, 2 * k - 1)
+            even = equivariant_k_finite_field(q, chi, 2 * k)
             if odd != FgAbelianGroup.cyclic(q**k + 1) or not even.is_trivial:
                 problems.append((q, k, str(odd), str(even)))
     elapsed = time.time() - t0
@@ -70,7 +70,7 @@ def test_criterion_2_five_path_agreement():
         for m in range(1, 13):
             for a in range(m):
                 for k in range(1, 7):
-                    rep = verify_main_theorem_ff(q, m, CyclicCharacter(m, a), k)
+                    rep = verify_main_theorem_ff(q, CyclicCharacter(m, a), k)
                     cases += 1
                     failures.extend(rep.failures)
     elapsed = time.time() - t0

@@ -274,17 +274,28 @@ def test_frobenius_class_examples():
 
 
 def test_frobenius_class_counts_match_engine():
-    # per-point classes bincounted must reproduce the engine's histograms
-    for p, d, f in ((5, 4, (0, 1)), (5, 2, (1, 0, 1)), (7, 3, (1, 1)), (7, 6, (3, 1))):
+    # per-point classes bincounted must reproduce the engine's character
+    # sums for every exponent a.  The last three covers have unequal class
+    # counts, so they also pin the identification of mu_d with Z/d through
+    # g_p^((p-1)/d): any other generator would permute their counts.
+    unequal_at_r1 = {
+        (5, 4, (1, 0, 1)): [1, 2, 0, 0],
+        (7, 3, (1, 0, 0, 1)): [1, 0, 3],
+        (13, 12, (5, 0, 1)): [2, 2, 2, 2, 0, 2, 0, 0, 2, 1, 0, 0],
+    }
+    for p, d, f in ((5, 4, (0, 1)), (5, 2, (1, 0, 1)), (7, 3, (1, 1)), (7, 6, (3, 1)),
+                    *unequal_at_r1):
         cover = KummerCover(p, d, f)
+        sums = [l_series_kummer(cover, a, 2).log_sums() for a in range(d)]
         for r in (1, 2):
             counts = naive_char_sum(cover, r)
-            series = l_series_kummer(cover, 1, max(r, 1))
-            sums = series.log_sums()
-            expected = CyclotomicNumber.rational(d, 0)
-            for cls, cnt in enumerate(counts):
-                expected = expected + cnt * CyclotomicNumber.zeta(d, cls)
-            assert sums[r - 1] == expected
+            if r == 1 and (p, d, f) in unequal_at_r1:
+                assert counts == unequal_at_r1[p, d, f]
+            for a in range(d):
+                expected = CyclotomicNumber.rational(d, 0)
+                for cls, cnt in enumerate(counts):
+                    expected = expected + cnt * CyclotomicNumber.zeta(d, a * cls)
+                assert sums[a][r - 1] == expected, (p, d, f, r, a)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import qlverify.abelian
 import qlverify.cyclotomic
 import qlverify.dirichlet
 import qlverify.equivariant
+import qlverify.ffqlc
 import qlverify.gf
 import qlverify.numtheory
 
@@ -14,7 +15,7 @@ import qlverify.numtheory
 @pytest.mark.parametrize(
     "module",
     [qlverify.numtheory, qlverify.abelian, qlverify.cyclotomic, qlverify.dirichlet,
-     qlverify.equivariant, qlverify.gf],
+     qlverify.equivariant, qlverify.ffqlc, qlverify.gf],
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -327,6 +327,18 @@ def test_cech_complex_small():
     assert cohomology(C, -2).is_trivial
 
 
+def test_cech_complex_three_subgroups_pins_every_sign():
+    # lambda = 3: Z/360 with the subgroups (4), (6), (10); the subset S
+    # carries Z/(360 / lcm), and each column holds one signed inclusion
+    # multiplier per dropped label, (-1)^j for the j-th label of S
+    C = cyclic_cech_complex(360, [4, 6, 10])
+    assert [d.data for d in C.differentials] == [
+        ((-5,), (3,), (-2,)),
+        ((3, 5, 0), (-2, 0, 5), (0, -2, -3)),
+        ((-4, -6, -10),),
+    ]
+
+
 def test_cech_empty_family():
     C = cyclic_cech_complex(12, [])
     assert cohomology(C, 0) == FgAbelianGroup.cyclic(12)

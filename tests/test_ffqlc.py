@@ -70,31 +70,31 @@ def test_moebius_zeta_products():
 
 
 def test_equivariant_k_examples():
-    assert equivariant_k_finite_field(2, 2, CyclicCharacter(2, 1), 1) == FgAbelianGroup.cyclic(3)
-    assert equivariant_k_finite_field(2, 2, CyclicCharacter(2, 0), 1).is_trivial
-    assert equivariant_k_finite_field(2, 4, CyclicCharacter(4, 1), 1) == FgAbelianGroup.cyclic(5)
-    assert equivariant_k_finite_field(3, 2, CyclicCharacter(2, 1), 2).is_trivial
+    assert equivariant_k_finite_field(2, CyclicCharacter(2, 1), 1) == FgAbelianGroup.cyclic(3)
+    assert equivariant_k_finite_field(2, CyclicCharacter(2, 0), 1).is_trivial
+    assert equivariant_k_finite_field(2, CyclicCharacter(4, 1), 1) == FgAbelianGroup.cyclic(5)
+    assert equivariant_k_finite_field(3, CyclicCharacter(2, 1), 2).is_trivial
     with pytest.raises(ValueError):
-        equivariant_k_finite_field(2, 2, CyclicCharacter(2, 1), 0)
+        equivariant_k_finite_field(2, CyclicCharacter(2, 1), 0)
 
 
 def test_theorem_1_1_golden_case():
     for q in (2, 3, 4, 5):
         for k in range(1, 7):
-            pi = equivariant_k_finite_field(q, 2, CyclicCharacter(2, 1), 2 * k - 1)
+            pi = equivariant_k_finite_field(q, CyclicCharacter(2, 1), 2 * k - 1)
             assert pi == FgAbelianGroup.cyclic(q**k + 1)
-            assert equivariant_k_finite_field(q, 2, CyclicCharacter(2, 1), 2 * k).is_trivial
+            assert equivariant_k_finite_field(q, CyclicCharacter(2, 1), 2 * k).is_trivial
 
 
 def test_verify_main_theorem_all_paths_small():
     for q, m, a, k in ((2, 2, 1, 1), (3, 2, 1, 1), (2, 6, 1, 1), (2, 4, 1, 1), (7, 4, 3, 2)):
-        rep = verify_main_theorem_ff(q, m, CyclicCharacter(m, a), k)
+        rep = verify_main_theorem_ff(q, CyclicCharacter(m, a), k)
         assert rep.ok, rep.failures
         assert len(rep.records) == 7
 
 
 def test_verify_reports_values():
-    rep = verify_main_theorem_ff(3, 2, CyclicCharacter(2, 1), 1)
+    rep = verify_main_theorem_ff(3, CyclicCharacter(2, 1), 1)
     by_quantity = {r.quantity: r for r in rep.records}
     assert by_quantity["norm_vs_moebius"].value == "1/4"
     assert by_quantity["pi_odd_structure"].value == "Z/4"
@@ -118,8 +118,8 @@ def test_descent_matches_primitive_computation():
         k = rng.randint(1, 4)
         chi = CyclicCharacter(m, a)
         prim = chi.primitivize()
-        assert equivariant_k_finite_field(q, m, chi, 2 * k - 1) == equivariant_k_finite_field(
-            q, prim.m, prim, 2 * k - 1
+        assert equivariant_k_finite_field(q, chi, 2 * k - 1) == equivariant_k_finite_field(
+            q, prim, 2 * k - 1
         )
         assert artin_l_value_ff(q, chi, k) == artin_l_value_ff(q, prim, k)
 
@@ -135,8 +135,8 @@ def test_galois_conjugate_characters_agree():
         k = rng.randint(1, 4)
         chi, chij = CyclicCharacter(m, a), CyclicCharacter(m, (a * j) % m)
         assert artin_l_value_ff(q, chi, k).norm_to_Q() == artin_l_value_ff(q, chij, k).norm_to_Q()
-        assert equivariant_k_finite_field(q, m, chi, 2 * k - 1) == equivariant_k_finite_field(
-            q, m, chij, 2 * k - 1
+        assert equivariant_k_finite_field(q, chi, 2 * k - 1) == equivariant_k_finite_field(
+            q, chij, 2 * k - 1
         )
 
 
@@ -147,7 +147,7 @@ def test_even_degree_vanishing_matrix():
         m = rng.randint(1, 12)
         a = rng.randrange(m)
         k = rng.randint(1, 6)
-        assert equivariant_k_finite_field(q, m, CyclicCharacter(m, a), 2 * k).is_trivial
+        assert equivariant_k_finite_field(q, CyclicCharacter(m, a), 2 * k).is_trivial
 
 
 def test_induced_rep_cases():
@@ -159,10 +159,10 @@ def test_induced_rep_cases():
     # explicit structure: Ind from C_2 <= C_4 over q=2 at k=1
     # summand (2, 1): base field q^2 = 4: pi_1 = Z[i]-free ... Z/(4^1+1) = Z/5
     one = InducedRepFF(4, ((2, 1, 1),))
-    assert equivariant_k_finite_field(2, 4, one, 1) == FgAbelianGroup.cyclic(5)
+    assert equivariant_k_finite_field(2, one, 1) == FgAbelianGroup.cyclic(5)
     # trivial summand contributes K_t of the fixed field
     triv = InducedRepFF(4, ((1, 0, 1),))
-    assert equivariant_k_finite_field(2, 4, triv, 1) == FgAbelianGroup.cyclic(2**4 - 1)
+    assert equivariant_k_finite_field(2, triv, 1) == FgAbelianGroup.cyclic(2**4 - 1)
 
 
 def test_induced_rep_validation():
@@ -193,7 +193,7 @@ def test_verifier_catches_wrong_k_groups(monkeypatch):
     import qlverify.ffqlc as ff
 
     monkeypatch.setattr(ff, "_bredon_pi_odd", lambda q, m_eff, t: FgAbelianGroup.cyclic(7))
-    rep = ff.verify_main_theorem_ff(2, 2, CyclicCharacter(2, 1), 1)
+    rep = ff.verify_main_theorem_ff(2, CyclicCharacter(2, 1), 1)
     failed = {r.quantity for r in rep.failures}
     assert "norm_vs_k_ratio" in failed
     assert "pi_odd_structure" in failed
@@ -223,7 +223,7 @@ def test_structure_quotient_independent_of_conjugate():
         for a in range(1, m):
             if gcd(a, m) == 1:
                 z = 1 - CyclotomicNumber.zeta(m, a) * 9
-                groups.add(quotient_by_principal(m, z))
+                groups.add(quotient_by_principal(z))
         assert len(groups) == 1
 
 

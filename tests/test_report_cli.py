@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,12 +47,18 @@ def test_tsv_and_json_shapes():
     assert json.loads(lines[-1])["summary"]["PASS"] == 1
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(args):
+    # the child imports this checkout's package whatever PYTHONPATH says
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qlverify.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,  # a hang fails the test instead of stalling the suite
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -121,7 +121,7 @@ def test_normal_form_matches_determinantal_divisors(M):
     r = rank(M)
     factors = tuple(d[k] // d[k - 1] for k in range(1, r + 1))
     expected = FgAbelianGroup(M.rows - r, tuple(f for f in factors if f > 1))
-    assert PresentedAbelianGroup(M.rows, M).normal_form() == expected
+    assert PresentedAbelianGroup(M).normal_form() == expected
 
 
 @PROPERTY

@@ -2,27 +2,32 @@
 
 A group is given either in invariant-factor form (FgAbelianGroup) or by a
 presentation (generators plus an integer relation matrix whose columns are
-the relators).  Smith normal form over Z does all the work: normal forms,
-kernels, cokernels, and the cohomology of bounded cochain complexes of
-presented groups.
+the relators).  Smith normal form over Z gives normal forms, kernels and
+cokernels, and the last step of the cohomology of bounded cochain
+complexes of presented groups.
 
 One elimination routine, `_smith`, does every reduction, and it carries
 only the transforms its caller reads: a normal form reads the diagonal
 alone and carries neither transform, a kernel carries only the column
-transform V, and a solve carries both U and V.  `smith_normal_form` is the
+transform V, a solve carries both U and V, and diagonalizing a target
+presentation for cohomology carries only U.  `smith_normal_form` is the
 public wrapper that returns all three as (U, D, V).
 
 One Smith reduction per lattice: `_solve` reduces a matrix once and reads
 off both an integer solution for a whole block of target columns and a
-basis of the kernel.  solve_integer, integer_kernel, relations_contain and
-cohomology all go through it, so no lattice is reduced once per column.
-Two shortcuts skip reductions.  In the top degree of a complex the kernel
-is everything, so cohomology there is the one normal form.  And when
-every relation column has at most one nonzero entry (a diagonal
-presentation, such as every term of a Moore or Cech complex, with its
-columns in any order or repeated), membership is divisibility of each row
-by the gcd of its relation row, so building those complexes makes no Smith
-reduction.
+basis of the kernel.  solve_integer, integer_kernel and relations_contain
+go through it, so no lattice is reduced once per column.  When every
+relation column has at most one nonzero entry (a diagonal presentation,
+such as every term of a Moore or Cech complex, with its columns in any
+order or repeated), `_axis_orders` reads the lattice off as the gcd of
+each row, so membership is divisibility row by row and building those
+complexes makes no Smith reduction.
+
+cohomology makes no kernel or solve reduction at all: one pass of column
+operations over the rows of the differential cuts Z^n down to its kernel
+while rewriting the image in the kernel basis, and the normal form of
+that image is the answer (a non-diagonal target is first diagonalized).
+In the top degree the kernel is everything and the pass is empty.
 
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
@@ -230,6 +235,29 @@ def _solve(M: IntMatrix, B: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
     return IntMatrix(m, B.cols, _product(V, Y, B.cols)), kernel
 
 
+def _axis_orders(rows) -> list[int] | None:
+    """The gcd of each row of a relation matrix (given as its rows) in which
+    every column has at most one nonzero entry, else None.
+
+    Such a matrix presents a direct sum of cyclic groups, whatever the order
+    or repetition of its columns: its lattice is the sum of the t_i e_i,
+    t_i = gcd(row i) (0 for a row with no relation), so x lies in it exactly
+    when t_i divides x_i for every i.
+    """
+    if all(sum(map(bool, col)) <= 1 for col in zip(*rows)):
+        return [gcd(*row) for row in rows]
+    return None
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b), by Euclid on |a| and |b|."""
+    r0, r1, u0, u1, v0, v1 = abs(a), abs(b), 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, u0, u1, v0, v1 = r1, r0 - q * r1, u1, u0 - q * u1, v1, v0 - q * v1
+    return r0, u0 if a >= 0 else -u0, v0 if b >= 0 else -v0
+
+
 def solve_integer(M, target) -> tuple[int, ...]:
     """One integer solution x of M x = target, or raise NoIntegerSolution."""
     M = _coerce(M)
@@ -355,13 +383,10 @@ class PresentedAbelianGroup:
 
     def relations_contain(self, mat: IntMatrix) -> bool:
         """Whether every column of mat lies in the relation lattice."""
-        rel = self.relations.data
-        if all(sum(map(bool, col)) <= 1 for col in zip(*rel)):
-            # each relator lies on one axis: the lattice is the sum of the
-            # gcd(row i) e_i, so membership is divisibility row by row
-            gcds = [gcd(*row) for row in rel]
-            return all(x % g == 0 if g else x == 0 for g, targets in zip(gcds, mat.data) for x in targets)
-        return _solve(self.relations, mat)[0] is not None
+        orders = _axis_orders(self.relations.data)
+        if orders is None:
+            return _solve(self.relations, mat)[0] is not None
+        return all(x % t == 0 if t else x == 0 for t, targets in zip(orders, mat.data) for x in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -410,25 +435,73 @@ class BoundedComplex:
 
 
 def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
-    """H^i(C) = ker(d^i) / im(d^{i-1}), computed in the quotient groups."""
+    """H^i(C) = ker(d^i) / im(d^(i-1)), computed in the quotient groups.
+
+    The image is spanned by the source relations and the columns of
+    d^(i-1).  In the top degree d^i = 0, the kernel is all of Z^n and H^i
+    is the cokernel of the image.  Below it, write the target lattice as
+    the sum of the t_j e_j (a non-diagonal target is first diagonalized by
+    one row transform U, and d replaced by U d); the kernel is then
+    L = {x : t_j divides (d x)_j for every row j}, and one pass over the
+    rows cuts Z^n down to it by column operations (H. Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4).
+
+    Invariant: after row j the basis vectors b_c span
+    L_j = {x : t_k divides (d x)_k for every k <= j}, each carried as the
+    pair (w_c, y_c) with w_c = d b_c and y_c its row of image
+    coordinates, so that the image is Y = sum_c b_c y_c.  At row j,
+    unimodular merges leave one b_p whose residue r = (w_p)_j is not 0
+    mod t_j; a vector sum_c a_c b_c then lies in L_j exactly when
+    s = t_j / gcd(r, t_j) divides a_p, so b_p becomes s b_p, or is dropped
+    when t_j = 0.  Every column operation is applied inversely to the rows
+    y_c, and the image lies in L_j, so its coordinates on the new basis
+    are integers: a division of y_p by s that is not exact (or a nonzero
+    y_p on a dropped b_p) means some image column has left the kernel, and
+    raises NoIntegerSolution.  H^i is the cokernel of the final Y.
+    """
     src = C.term(i)
-    # image of d^{i-1} plus source relations
     image = src.relations
     if i > C.lo:
         image = image.hstack(C.differentials[i - 1 - C.lo])
     if i == C.hi:
-        # d^i = 0: the kernel is all of Z^n, so the image is already
-        # expressed in the kernel generators
         return PresentedAbelianGroup(image).normal_form()
-    # kernel of the induced map: x with d^i(x) in the relation span of the target
-    d = C.differentials[i - C.lo]
-    ker = integer_kernel(d.hstack(C.term(i + 1).relations))
-    gens = IntMatrix(src.n_generators, ker.cols, ker.data[:src.n_generators])
-    # the image in terms of the kernel generators
-    X, gens_kernel = _solve(gens, image)
-    if X is None:
-        raise NoIntegerSolution
-    return PresentedAbelianGroup(gens_kernel.hstack(X)).normal_form()
+    d = C.differentials[i - C.lo].data
+    rel = C.term(i + 1).relations.data
+    orders = _axis_orders(rel)
+    if orders is None:
+        # U rel V = D, so d x lies in the span of rel exactly when U d x lies in D's
+        D, U = [list(r) for r in rel], _identity_rows(len(rel))
+        _smith(D, U)
+        d, orders = _product(U, d, src.n_generators), _axis_orders(D)
+    ws = [[row[c] for row in d] for c in range(src.n_generators)]
+    ys = [list(row) for row in image.data]
+    for j, t in enumerate(orders):
+        if t == 1:
+            continue
+        live = [c for c, w in enumerate(ws) if (w[j] % t if t else w[j])]
+        if not live:
+            continue
+        p = live[0]
+        for c in live[1:]:
+            wp, wc, yp, yc = ws[p], ws[c], ys[p], ys[c]
+            g, u, v = _xgcd(wp[j], wc[j])
+            a, b = wp[j] // g, wc[j] // g
+            # b_p, b_c -> u b_p + v b_c, a b_c - b b_p (determinant 1)
+            ws[p] = [u * x + v * z for x, z in zip(wp, wc)]
+            ws[c] = [a * z - b * x for x, z in zip(wp, wc)]
+            ys[p] = [a * x + b * z for x, z in zip(yp, yc)]
+            ys[c] = [u * z - v * x for x, z in zip(yp, yc)]
+        if t:
+            s = t // gcd(ws[p][j], t)
+            ws[p] = [s * x for x in ws[p]]
+            if any(x % s for x in ys[p]):
+                raise NoIntegerSolution
+            ys[p] = [x // s for x in ys[p]]
+        elif any(ys[p]):
+            raise NoIntegerSolution
+        else:
+            del ws[p], ys[p]
+    return PresentedAbelianGroup(IntMatrix(len(ys), image.cols, tuple(map(tuple, ys)))).normal_form()
 
 
 def euler_number(C: BoundedComplex) -> Fraction:

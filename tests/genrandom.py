@@ -32,24 +32,31 @@ def random_unimodular_pair(rng: random.Random, n: int, steps: int = 6):
 
 
 def _chain_multipliers(rng: random.Random, orders):
-    """Valid chain maps t_i: Z/orders[i] -> Z/orders[i+1] with t_(i+1) t_i = 0."""
+    """Valid chain maps t_i: Z/orders[i] -> Z/orders[i+1] with t_(i+1) t_i = 0,
+    where Z/0 is Z."""
     ts = []
-    prev_t = None
-    for i in range(len(orders) - 1):
-        a, b = orders[i], orders[i + 1]
-        must = b // gcd(b, a)  # well-definedness
-        if prev_t is not None:
-            need = b // gcd(b, prev_t)  # d^2 = 0 through the previous map
-            must = must * need // gcd(must, need)
+    prev_t = 0  # the zero map composes with anything
+    for a, b in zip(orders, orders[1:]):
+        # t a (well-definedness) and t prev_t (d^2 = 0) must vanish in Z/b,
+        # so t must kill g = gcd(a, prev_t)
+        g = gcd(a, prev_t)
+        must = b // gcd(b, g) if b else int(g == 0)
         t = must * rng.randint(0, 3)
         ts.append(t)
-        prev_t = t if t else b  # zero map composes with anything
+        prev_t = t
     return ts
 
 
 def random_finite_complex(rng: random.Random) -> BoundedComplex:
-    """Direct sums of valid cyclic chains, padded to a common degree range,
-    then disguised by redundant relations and unimodular generator changes."""
+    """A disguised random_complex whose cyclic summands have orders 1..24."""
+    return random_complex(rng, lambda: rng.randint(1, 24))
+
+
+def random_complex(rng: random.Random, draw_order, disguise: bool = True) -> BoundedComplex:
+    """Direct sums of valid cyclic chains, each summand Z/draw_order() (an
+    order of 0 gives Z), padded to a common degree range, then, unless
+    disguise is false, disguised by redundant relations and unimodular
+    generator changes."""
     lo = rng.randint(-3, 0)
     length = rng.randint(1, 4)
     n_chains = rng.randint(1, 3)
@@ -57,7 +64,7 @@ def random_finite_complex(rng: random.Random) -> BoundedComplex:
     for _ in range(n_chains):
         start = rng.randint(0, length - 1)
         span = rng.randint(1, length - start)
-        orders = [rng.randint(1, 24) for _ in range(span)]
+        orders = [draw_order() for _ in range(span)]
         chains.append((start, orders, _chain_multipliers(rng, orders)))
     # assemble blockwise per degree
     terms = []
@@ -82,7 +89,7 @@ def random_finite_complex(rng: random.Random) -> BoundedComplex:
             rows.append(row)
         diffs.append(IntMatrix.from_rows(rows, len(src_idx)))
     complex_ = BoundedComplex(lo, tuple(terms), tuple(diffs))
-    return _disguise(rng, complex_)
+    return _disguise(rng, complex_) if disguise else complex_
 
 
 def _disguise(rng: random.Random, C: BoundedComplex) -> BoundedComplex:

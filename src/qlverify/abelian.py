@@ -4,30 +4,26 @@ A group is given either in invariant-factor form (FgAbelianGroup) or by a
 presentation (generators plus an integer relation matrix whose columns are
 the relators).  Smith normal form over Z gives normal forms, kernels and
 cokernels, and the last step of the cohomology of bounded cochain
-complexes of presented groups.
+complexes.
 
 One elimination routine, `_smith`, does every reduction, and it carries
 only the transforms its caller reads: a normal form reads the diagonal
 alone and carries neither transform, a kernel carries only the column
-transform V, a solve carries both U and V, and diagonalizing a target
-presentation for cohomology carries only U.  `smith_normal_form` is the
+transform V, and a solve carries both U and V.  `smith_normal_form` is the
 public wrapper that returns all three as (U, D, V).
 
 One Smith reduction per lattice: `_solve` reduces a matrix once and reads
 off both an integer solution for a whole block of target columns and a
-basis of the kernel.  solve_integer, integer_kernel and relations_contain
-go through it, so no lattice is reduced once per column.  When every
-relation column has at most one nonzero entry (a diagonal presentation,
-such as every term of a Moore or Cech complex, with its columns in any
-order or repeated), `_axis_orders` reads the lattice off as the gcd of
-each row, so membership is divisibility row by row and building those
-complexes makes no Smith reduction.
+basis of the kernel.  solve_integer and integer_kernel go through it, so
+no lattice is reduced once per column.
 
-cohomology makes no kernel or solve reduction at all: one pass of column
-operations over the rows of the differential cuts Z^n down to its kernel
-while rewriting the image in the kernel basis, and the normal form of
-that image is the answer (a non-diagonal target is first diagonalized).
-In the top degree the kernel is everything and the pass is empty.
+A bounded complex is its term orders and its differentials: every term is
+a direct sum of cyclic groups, so validating one is divisibility of
+integers, and building one makes no Smith reduction.  cohomology makes no
+kernel or solve reduction at all: one pass of column operations over the
+rows of the differential cuts Z^n down to its kernel while rewriting the
+image in the kernel basis, and the normal form of that image is the
+answer.  In the top degree the kernel is everything and the pass is empty.
 
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
@@ -235,20 +231,6 @@ def _solve(M: IntMatrix, B: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
     return IntMatrix(m, B.cols, _product(V, Y, B.cols)), kernel
 
 
-def _axis_orders(rows) -> list[int] | None:
-    """The gcd of each row of a relation matrix (given as its rows) in which
-    every column has at most one nonzero entry, else None.
-
-    Such a matrix presents a direct sum of cyclic groups, whatever the order
-    or repetition of its columns: its lattice is the sum of the t_i e_i,
-    t_i = gcd(row i) (0 for a row with no relation), so x lies in it exactly
-    when t_i divides x_i for every i.
-    """
-    if all(sum(map(bool, col)) <= 1 for col in zip(*rows)):
-        return [gcd(*row) for row in rows]
-    return None
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u a + v b = g = gcd(a, b), by Euclid on |a| and |b|."""
     r0, r1, u0, u1, v0, v1 = abs(a), abs(b), 1, 0, 0, 1
@@ -381,13 +363,6 @@ class PresentedAbelianGroup:
             tuple(sorted(d for d in nonzero if d >= 2)),
         )
 
-    def relations_contain(self, mat: IntMatrix) -> bool:
-        """Whether every column of mat lies in the relation lattice."""
-        orders = _axis_orders(self.relations.data)
-        if orders is None:
-            return _solve(self.relations, mat)[0] is not None
-        return all(x % t == 0 if t else x == 0 for t, targets in zip(orders, mat.data) for x in targets)
-
 
 # ---------------------------------------------------------------------------
 # bounded cochain complexes
@@ -395,56 +370,68 @@ class PresentedAbelianGroup:
 
 @dataclass(frozen=True)
 class BoundedComplex:
-    """Cochain complex of presented groups in degrees lo..lo+len(terms)-1.
+    """Cochain complex of direct sums of cyclic groups in degrees
+    lo..lo+len(orders)-1.
 
-    differentials[i] maps terms[i] to terms[i+1] and is expressed on
-    generators.  Construction checks that each differential carries source
-    relations into target relations and that consecutive differentials
-    compose to zero in the quotient.
+    orders[k] lists the cyclic orders of the degree lo+k term, the direct
+    sum of the Z/orders[k][c], where an order of 0 gives Z.
+    differentials[k] maps that term to the next one and is expressed on
+    the generators.  Construction checks integers only: an entry x from
+    Z/a to Z/b is well defined when b divides x a, and consecutive
+    differentials compose to zero when each entry of d^(k+1) d^k is
+    divisible by the target order of its row.
+
+    >>> C = BoundedComplex(0, ((3,), (15,)), (IntMatrix.from_rows([[5]]),))
+    >>> C.term(1), str(cohomology(C, 1))
+    ((15,), 'Z/5')
     """
 
     lo: int
-    terms: tuple[PresentedAbelianGroup, ...]
+    orders: tuple[tuple[int, ...], ...]
     differentials: tuple[IntMatrix, ...]
 
     def __post_init__(self):
-        if len(self.differentials) != max(len(self.terms) - 1, 0):
+        if len(self.differentials) != max(len(self.orders) - 1, 0):
             raise ValueError("need exactly one differential between consecutive terms")
+        if any(n < 0 for term in self.orders for n in term):
+            raise ValueError("nonnegative orders required")
         for i, d in enumerate(self.differentials):
-            src, tgt = self.terms[i], self.terms[i + 1]
-            if (d.rows, d.cols) != (tgt.n_generators, src.n_generators):
+            src, tgt = self.orders[i], self.orders[i + 1]
+            if (d.rows, d.cols) != (len(tgt), len(src)):
                 raise ValueError(f"differential {i} has wrong shape")
-            if not tgt.relations_contain(d @ src.relations):
-                raise ValueError(f"differential {i} not well defined on presentations")
-        for i in range(len(self.differentials) - 1):
-            if not self.terms[i + 2].relations_contain(self.differentials[i + 1] @ self.differentials[i]):
+            # x a is 0 in Z/b, where Z/0 is Z
+            if any(x * a % b if b else x * a for b, row in zip(tgt, d.data) for a, x in zip(src, row)):
+                raise ValueError(f"differential {i} not well defined on the cyclic summands")
+        for i, (d, e) in enumerate(zip(self.differentials, self.differentials[1:])):
+            if any(x % b if b else x for b, row in zip(self.orders[i + 2], _product(e.data, d.data, d.cols))
+                   for x in row):
                 raise ValueError(f"d^2 != 0 between degrees {self.lo + i} and {self.lo + i + 2}")
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.terms) - 1
+        return self.lo + len(self.orders) - 1
 
     @property
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def term(self, i: int) -> PresentedAbelianGroup:
+    def term(self, i: int) -> tuple[int, ...]:
+        """The cyclic orders of the degree-i term."""
         if not self.lo <= i <= self.hi:
             raise ValueError(f"degree {i} outside [{self.lo}, {self.hi}]")
-        return self.terms[i - self.lo]
+        return self.orders[i - self.lo]
 
 
 def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     """H^i(C) = ker(d^i) / im(d^(i-1)), computed in the quotient groups.
 
-    The image is spanned by the source relations and the columns of
-    d^(i-1).  In the top degree d^i = 0, the kernel is all of Z^n and H^i
-    is the cokernel of the image.  Below it, write the target lattice as
-    the sum of the t_j e_j (a non-diagonal target is first diagonalized by
-    one row transform U, and d replaced by U d); the kernel is then
+    The image is spanned by the source relations, s_c e_c for the source
+    orders s = C.term(i), and the columns of d^(i-1).  With the target
+    orders t = C.term(i + 1), the kernel of d = d^i is
     L = {x : t_j divides (d x)_j for every row j}, and one pass over the
     rows cuts Z^n down to it by column operations (H. Cohen, A Course in
-    Computational Algebraic Number Theory, section 2.4).
+    Computational Algebraic Number Theory, section 2.4).  In the top degree
+    d^i = 0, the pass is empty and H^i is the cokernel of the image.
 
     Invariant: after row j the basis vectors b_c span
     L_j = {x : t_k divides (d x)_k for every k <= j}, each carried as the
@@ -460,21 +447,14 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     raises NoIntegerSolution.  H^i is the cokernel of the final Y.
     """
     src = C.term(i)
-    image = src.relations
-    if i > C.lo:
-        image = image.hstack(C.differentials[i - 1 - C.lo])
-    if i == C.hi:
-        return PresentedAbelianGroup(image).normal_form()
-    d = C.differentials[i - C.lo].data
-    rel = C.term(i + 1).relations.data
-    orders = _axis_orders(rel)
-    if orders is None:
-        # U rel V = D, so d x lies in the span of rel exactly when U d x lies in D's
-        D, U = [list(r) for r in rel], _identity_rows(len(rel))
-        _smith(D, U)
-        d, orders = _product(U, d, src.n_generators), _axis_orders(D)
-    ws = [[row[c] for row in d] for c in range(src.n_generators)]
-    ys = [list(row) for row in image.data]
+    k = i - C.lo
+    prev = C.differentials[k - 1].data if k else ((),) * len(src)
+    relators = [c for c, n in enumerate(src) if n]
+    # one row per source generator: its relation column, then its row of d^(i-1)
+    ys = [[n if c == r else 0 for r in relators] + list(row) for c, (n, row) in enumerate(zip(src, prev))]
+    width = len(ys[0]) if ys else 0
+    d, orders = (C.differentials[k].data, C.term(i + 1)) if i < C.hi else ((), ())
+    ws = [[row[c] for row in d] for c in range(len(src))]
     for j, t in enumerate(orders):
         if t == 1:
             continue
@@ -501,7 +481,7 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
             raise NoIntegerSolution
         else:
             del ws[p], ys[p]
-    return PresentedAbelianGroup(IntMatrix(len(ys), image.cols, tuple(map(tuple, ys)))).normal_form()
+    return PresentedAbelianGroup(IntMatrix(len(ys), width, tuple(map(tuple, ys)))).normal_form()
 
 
 def euler_number(C: BoundedComplex) -> Fraction:
@@ -512,10 +492,10 @@ def euler_number(C: BoundedComplex) -> Fraction:
     """
     result = Fraction(1)
     for i in C.degrees:
-        g = C.term(i).normal_form()
-        if not g.is_finite:
+        order = prod(C.term(i))
+        if not order:
             raise ValueError(f"term in degree {i} is infinite")
-        result *= Fraction(g.order()) if i % 2 == 0 else Fraction(1, g.order())
+        result *= order if i % 2 == 0 else Fraction(1, order)
     return result
 
 

@@ -29,7 +29,6 @@ from .abelian import (
     BoundedComplex,
     FgAbelianGroup,
     IntMatrix,
-    PresentedAbelianGroup,
     cohomology,
 )
 from .numtheory import divisors, factorize, multiplicative_order
@@ -82,7 +81,9 @@ def _cech_complex(labels, order_of: Callable[[tuple], int]) -> BoundedComplex:
     """Cochain complex indexed by subsets of labels, degrees -len(labels)..0.
 
     order_of(S) gives the order of the cyclic group attached to the subset
-    S (a sorted tuple).  The map for dropping one label, S -> T, is the
+    S (a sorted tuple); the degree -s term is the direct sum of those of
+    the size-s subsets, so the complex is these orders and its integer
+    differentials.  The map for dropping one label, S -> T, is the
     subgroup inclusion Z/order_of(S) -> Z/order_of(T), multiplication by
     order_of(T) // order_of(S), so order_of(S) must divide order_of(T).
     Its sign is (-1)^j, where j is the 1-based position of the dropped
@@ -92,7 +93,7 @@ def _cech_complex(labels, order_of: Callable[[tuple], int]) -> BoundedComplex:
     n = len(labels)
     subsets_by_size = [list(itertools.combinations(labels, size)) for size in range(n, -1, -1)]
     orders = {S: order_of(S) for subsets in subsets_by_size for S in subsets}
-    terms = tuple(PresentedAbelianGroup.diagonal(orders[S] for S in subsets) for subsets in subsets_by_size)
+    terms = tuple(tuple(orders[S] for S in subsets) for subsets in subsets_by_size)
 
     diffs = []
     for sources, targets in zip(subsets_by_size, subsets_by_size[1:]):

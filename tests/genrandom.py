@@ -1,5 +1,5 @@
 """Seeded random generators for property tests: valid bounded complexes of
-finite abelian groups with obfuscated presentations, and random Mackey
+direct sums of cyclic groups with dense differentials, and random Mackey
 instances.  Also mat_vec, the matrix-vector product the tests share."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from qlverify.abelian import BoundedComplex, IntMatrix, PresentedAbelianGroup
+from qlverify.abelian import BoundedComplex, IntMatrix
 
 
 def mat_vec(M: IntMatrix, vec) -> tuple[int, ...]:
@@ -16,13 +16,20 @@ def mat_vec(M: IntMatrix, vec) -> tuple[int, ...]:
     return (M @ IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))).col(0)
 
 
-def random_unimodular_pair(rng: random.Random, n: int, steps: int = 6):
-    """(Q, Q_inverse) as products of elementary row operations."""
+def random_lattice_automorphism(rng: random.Random, orders, steps: int = 6):
+    """(Q, Q_inverse): a product of elementary row operations
+    row_i += c * (o_i / gcd(o_i, o_j)) * row_j, o = orders, each of which
+    maps o_j e_j into the lattice of the o_k e_k, and so does its inverse.
+    An operation with o_i = 0 != o_j would not, and is skipped."""
+    n = len(orders)
     q = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     qinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
+        oi, oj = orders[i], orders[j]
+        if oi == 0 and oj != 0:
+            continue
+        c = rng.randint(-2, 2) * (oi // gcd(oi, oj) if oi else 1)
         # row_i += c * row_j on Q; the inverse op accumulates on the right of Q^-1
         for t in range(n):
             q[i][t] += c * q[j][t]
@@ -55,8 +62,8 @@ def random_finite_complex(rng: random.Random) -> BoundedComplex:
 def random_complex(rng: random.Random, draw_order, disguise: bool = True) -> BoundedComplex:
     """Direct sums of valid cyclic chains, each summand Z/draw_order() (an
     order of 0 gives Z), padded to a common degree range, then, unless
-    disguise is false, disguised by redundant relations and unimodular
-    generator changes."""
+    disguise is false, disguised by automorphisms of each term, so that the
+    terms stay diagonal and the differentials become dense."""
     lo = rng.randint(-3, 0)
     length = rng.randint(1, 4)
     n_chains = rng.randint(1, 3)
@@ -70,7 +77,7 @@ def random_complex(rng: random.Random, draw_order, disguise: bool = True) -> Bou
     terms = []
     diffs = []
     for pos in range(length):
-        terms.append(PresentedAbelianGroup.diagonal(
+        terms.append(tuple(
             orders[pos - start] for start, orders, _ in chains if start <= pos < start + len(orders)))
     for pos in range(length - 1):
         src_idx = [c for c in range(n_chains)
@@ -93,32 +100,8 @@ def random_complex(rng: random.Random, draw_order, disguise: bool = True) -> Bou
 
 
 def _disguise(rng: random.Random, C: BoundedComplex) -> BoundedComplex:
-    """Same complex up to isomorphism: scrambled generators, redundant
-    relation columns."""
-    qs = []
-    for term in C.terms:
-        qs.append(random_unimodular_pair(rng, term.n_generators))
-    new_terms = []
-    for (q, _), term in zip(qs, C.terms):
-        rel = q @ term.relations
-        # append random combinations of existing relation columns
-        extra_cols = rng.randint(0, 2)
-        cols = rel.columns()
-        if cols and extra_cols:
-            combos = []
-            for _ in range(extra_cols):
-                combo = [0] * rel.rows
-                for c in cols:
-                    w = rng.randint(-2, 2)
-                    combo = [x + w * y for x, y in zip(combo, c)]
-                combos.append(combo)
-            rel = rel.hstack(IntMatrix.from_rows(
-                [[combos[j][i] for j in range(extra_cols)] for i in range(rel.rows)],
-                extra_cols))
-        new_terms.append(PresentedAbelianGroup(rel))
-    new_diffs = []
-    for i, d in enumerate(C.differentials):
-        q_tgt, _ = qs[i + 1]
-        _, qinv_src = qs[i]
-        new_diffs.append(q_tgt @ d @ qinv_src)
-    return BoundedComplex(C.lo, tuple(new_terms), tuple(new_diffs))
+    """The same complex up to isomorphism: d^i becomes Q_(i+1) d^i Q_i^-1
+    for random automorphisms Q_i of the terms."""
+    qs = [random_lattice_automorphism(rng, C.term(i)) for i in C.degrees]
+    new_diffs = [qs[i + 1][0] @ d @ qs[i][1] for i, d in enumerate(C.differentials)]
+    return BoundedComplex(C.lo, C.orders, tuple(new_diffs))

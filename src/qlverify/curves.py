@@ -33,11 +33,15 @@ extends u by doubling steps over numpy slices, O(p^r * r) work.  The
 tables are int32 whenever p^r < 2^31.
 
 f is then evaluated at every x = g^i by Horner's rule on logs:
-multiplying by x adds i, and adding a nonzero constant costs one gather
-from the Zech array.  Numpy holds only integers, all below 2^63: walk
-terms are sums of r products of residues (< r p^2), encodings are < p^r,
-and Horner logs stay below (deg f + 2) n with n = p^r - 1.  So every
-count is exact.
+multiplying by x adds i, and adding a nonzero constant is one lookup in
+the Zech array.  Before the first such addition the log is l_top + s i,
+so the first lookup reads an arithmetic progression of the Zech array:
+strided slices, one or two plain slices for s = 1.  Every later lookup
+is one gather.  Numpy holds only integers, all below 2^63: walk terms
+are sums of r products of residues (< r p^2), encodings are < p^r, and
+Horner logs stay below (deg f + 2) n with n = p^r - 1; they run in int32
+lanes when that bound is below 2^31, else in int64.  So every count is
+exact.
 """
 
 from __future__ import annotations
@@ -209,14 +213,30 @@ def _tables(p: int, r: int) -> _FieldTables:
     return _FieldTables(p, r)
 
 
+def _exceeds_budget(p: int, r: int, max_field_size: int) -> bool:
+    """p^r > max_field_size.  p^r is formed only while r is at most the
+    bit length of the budget; past it, p^r >= 2^r exceeds the budget."""
+    return r > max_field_size.bit_length() or p**r > max_field_size
+
+
+def _power_text(p: int, e: int) -> str:
+    """p^e in decimal while it has at most 4300 digits, the longest int
+    CPython converts to str by default; past that, "p^e" as written."""
+    if e * (p.bit_length() - 1) < 14300:  # else p^e >= 2^14300 > 10^4300
+        value = p**e
+        if value < 10**4300:
+            return str(value)
+    return f"{p}^{e}"
+
+
 def _check_budget(cover: KummerCover, r: int, max_field_size: int) -> None:
     """Refuse to enumerate F_(p^r) beyond the budget.  Every public entry
     point checks once, before any table or histogram is looked up, so the
     caches are keyed on the field alone."""
     p = cover.p
-    if p**r > max_field_size:
+    if _exceeds_budget(p, r, max_field_size):
         raise EnumerationBudgetExceeded(
-            f"F_({p}^{r}) has {p**r} elements, budget is {max_field_size}"
+            f"F_({p}^{r}) has {_power_text(p, r)} elements, budget is {max_field_size}"
         )
 
 
@@ -228,24 +248,45 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
 
     f is evaluated at every x = g^i by Horner's rule on logs: multiplying
     by x adds i, and adding a nonzero constant c (log l) maps a nonzero
-    log a to l + zech[a - l mod n].  Logs are reduced mod n only to index
-    zech, so they stay below (deg f + 2) n; a mask marks the x where the
-    partial value is 0.  Since p - 1 divides n, the final bincount needs
-    only the logs mod p - 1.
+    log a to l + zech[a - l mod n].  Up to the first such addition the log
+    is l_top + s i, with s the multiplications by x so far, so that first
+    lookup reads zech along an arithmetic progression in i: strided slices
+    of zech, one slice when s = 1 and it does not wrap at n, with no index
+    array and no gather.  Each later addition is one gather.  Logs are
+    reduced mod n only to index zech, so they stay below (deg f + 2) n;
+    they are held in int32 lanes when that bound is below 2^31, else in
+    int64.  A mask marks the x where the partial value is 0.  Since p - 1
+    divides n, the final bincount needs only the logs mod p - 1.
     """
-    t = _tables(p, r)
-    n = t.n
-    logs_c = [np.int64(t.dlog[c]) if c else None for c in f]
+    lane = np.int32 if (len(f) + 1) * (p**r - 1) < 2**31 else np.int64
+    return _horner_histogram(_tables(p, r), f, lane)
+
+
+def _horner_histogram(t: _FieldTables, f: tuple[int, ...], lane) -> tuple[int, ...]:
+    """The kernel of _value_log_histogram, with every log and every scalar
+    it meets in the integer dtype lane, which must hold (deg f + 2) n."""
+    p, n = t.p, t.n
+    logs_c = [lane(t.dlog[c]) if c else None for c in f]
+    top = logs_c[-1]
     hist = np.zeros(p - 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-        acc = np.full(i.size, logs_c[-1], dtype=np.int64)
+        count = min(_CHUNK, n - start)
+        i = np.arange(start, start + count, dtype=lane)
+        acc = None  # the partial log, once a constant has been added
         zero = None  # where the partial value is 0, if anywhere
+        s = 0  # multiplications by x before the first constant
         for lc in reversed(logs_c[:-1]):
-            acc += i
+            if acc is None:
+                s += 1
+            else:
+                acc += i
             if lc is None:
                 continue
-            z = np.take(t.zech, (acc - lc) % n)
+            if acc is None:
+                # so far f is c x^s: never 0, and its log top + s i is a progression
+                z = _zech_progression(t.zech, (int(top) - int(lc) + s * start) % n, s, count)
+            else:
+                z = np.take(t.zech, (acc - lc) % n)
             acc = z + lc
             if zero is not None:
                 acc[zero] = lc  # 0 * x + c = c
@@ -253,13 +294,30 @@ def _value_log_histogram(p: int, r: int, f: tuple[int, ...]) -> tuple[int, ...]:
             zero = z < 0
             if not zero.any():
                 zero = None
+        if acc is None:  # f = c x^s
+            acc = i * lane(s) + top
         if zero is not None:
             acc = acc[~zero]
-        hist += np.bincount(acc % (p - 1), minlength=p - 1)
+        np.remainder(acc, lane(p - 1), out=acc)
+        hist += np.bincount(acc, minlength=p - 1)
     # the element x = 0 contributes f(0) = constant term
     if f[0]:
         hist[int(t.dlog[f[0]]) % (p - 1)] += 1
     return tuple(int(x) for x in hist)
+
+
+def _zech_progression(zech: np.ndarray, a: int, s: int, count: int) -> np.ndarray:
+    """zech[(a + s k) mod n] for k < count, with 0 <= a < n = zech.size:
+    one strided slice per pass through n, so at most s + 1 of them for
+    count <= n.  A lone slice is returned as a view."""
+    n = zech.size
+    pieces = []
+    while count:
+        take = min(count, -(-(n - a) // s))  # terms before the index passes n
+        pieces.append(zech[a : a + s * take : s])
+        count -= take
+        a = (a + s * take) % n
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _residue_histogram_mod(p, r, f, d) -> list[int]:
@@ -566,8 +624,9 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
     fstr = ",".join(str(c) for c in cover.f)
     case = f"curve p={p} d={d} f=[{fstr}]"
     rep = VerificationReport()
-    if p**B > max_field_size:
-        rep.add(case, "all", "enumeration", f"p^B = {p**B} exceeds budget {max_field_size}", SKIP)
+    if _exceeds_budget(p, B, max_field_size):
+        rep.add(case, "all", "enumeration",
+                f"p^B = {_power_text(p, B)} exceeds budget {max_field_size}", SKIP)
         return rep
 
     L = {a: l_series_kummer(cover, a, B, max_field_size) for a in range(d)}

@@ -24,7 +24,7 @@ from qlverify.curves import (
     zeta_series,
 )
 from qlverify.cyclotomic import CyclotomicNumber
-from qlverify import gf
+from qlverify import curves, gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
 from qlverify.numtheory import divisors, smallest_primitive_root
 
@@ -205,6 +205,61 @@ def test_count_points_special_polynomials(f):
         for r in (1, 2, 3):
             assert count_points(KummerCover(p, 1, f), r) == naive_base_count(p, f, r), (p, f, r)
             assert count_points(KummerCover(p, d, f), r) == naive_cover_count(p, d, f, r), (p, d, f, r)
+
+
+@pytest.mark.parametrize("chunk", [7, 100])
+def test_histograms_across_chunks_match_naive_counts(monkeypatch, chunk):
+    """Fields of several chunks, against the per-point oracles.  The first
+    Zech lookup reads a progression with stride s, the multiplications by
+    x before the first nonzero lower coefficient; each case below names
+    its s, and some of its slices wrap at n inside a chunk."""
+    cases = [
+        (3, 2, (1, 1), (2, 4, 5)),           # linear, s = 1
+        (5, 4, (3, 2), (2, 3)),
+        (7, 6, (2, 1), (2, 3)),
+        (3, 2, (1, 2, 0, 1), (2, 4, 5)),     # x^3 - x + 1, s = 2
+        (5, 4, (1, 4, 0, 1), (2, 3)),
+        (5, 4, (0, 0, 3), (2, 3)),           # monomials: no lookup
+        (3, 2, (0, 0, 0, 2), (4,)),
+        (7, 3, (0, 1, 1), (2, 3)),           # f(0) = 0
+        (5, 2, (1, 2, 1), (2, 3)),           # (x + 1)^2
+        (3, 2, (2, 0, 0, 1), (4, 5)),        # s = 3
+        (2, 1, (1, 1, 1), (3, 7)),           # p = 2: one bin
+        (2, 1, (1, 1), (5, 8)),
+        (131, 130, (3, 1), (1,)),
+        (131, 5, (1, 130, 0, 1), (1,)),
+    ]
+    progression = curves._zech_progression
+    seen = set()  # (s, whether the progression wraps at n)
+
+    def spy(zech, a, s, count):
+        seen.add((s, a + s * (count - 1) >= zech.size))
+        return progression(zech, a, s, count)
+
+    monkeypatch.setattr(curves, "_CHUNK", chunk)
+    monkeypatch.setattr(curves, "_zech_progression", spy)
+    _tables.cache_clear()
+    _value_log_histogram.cache_clear()
+    for p, d, f, degrees in cases:
+        for r in degrees:
+            assert count_points(KummerCover(p, 1, f), r) == naive_base_count(p, f, r), (p, f, r)
+            assert count_points(KummerCover(p, d, f), r) == naive_cover_count(p, d, f, r), (p, d, f, r)
+    assert {(1, False), (1, True), (2, False), (2, True), (3, True)} <= seen
+
+
+def test_int32_and_int64_lanes_agree(monkeypatch):
+    monkeypatch.setattr(curves, "_CHUNK", 100)
+    rng = random.Random(18)
+    for p, r in ((2, 9), (3, 5), (5, 4), (7, 3), (13, 2), (131, 2)):
+        t = curves._FieldTables(p, r)
+        for deg in range(5):
+            for _ in range(3):
+                f = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+                if deg > 1 and rng.random() < 0.5:
+                    f[deg - 1] = 0
+                hist = curves._horner_histogram(t, tuple(f), np.int32)
+                assert hist == curves._horner_histogram(t, tuple(f), np.int64), (p, r, f)
+                assert len(hist) == p - 1 and sum(hist) <= t.n + 1
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2), (11, 1)])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,20 @@ def test_cli_skip_only_run_counts_its_skips(capsys):
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
     assert "no PASS or FAIL record, SKIP=1" in captured.err
+
+
+def test_cli_oversized_order_skips_at_once(capsys):
+    # p^B is never formed past the budget, so neither its 4773 digits at
+    # B = 10^4 nor the work of 3^(10^8) stands between the run and its SKIP
+    for order in ("10000", "100000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curves", "--spec", '{"p":3,"d":2,"f":[0,1]}', "--order", order])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "yields no checks (no PASS or FAIL record, SKIP=1)" in captured.err
+        assert elapsed < 1.0, (order, elapsed)
 
 
 def test_cli_accepts_a_large_prime_at_once():

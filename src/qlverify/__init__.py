@@ -7,8 +7,8 @@ from .abelian import (
     BoundedComplex,
     FgAbelianGroup,
     IntMatrix,
-    PresentedAbelianGroup,
     cohomology,
+    cokernel,
     euler_number,
     smith_normal_form,
 )

@@ -1,29 +1,25 @@
 """Finitely generated abelian groups through integer matrices.
 
-A group is given either in invariant-factor form (FgAbelianGroup) or by a
-presentation (generators plus an integer relation matrix whose columns are
-the relators).  Smith normal form over Z gives normal forms, kernels and
-cokernels, and the last step of the cohomology of bounded cochain
-complexes.
+A group is kept in invariant-factor form (FgAbelianGroup).  Every group the
+package builds from a presentation, a direct sum, a cyclotomic quotient or
+a cohomology group, goes through one function: `cokernel(rows)` is Z^n
+modulo the column span of an integer matrix with n rows, one per
+generator, read off the diagonal of its Smith normal form.
 
 One elimination routine, `_smith`, does every reduction, and it carries
-only the transforms its caller reads: a normal form reads the diagonal
-alone and carries neither transform, a kernel carries only the column
-transform V, and a solve carries both U and V.  `smith_normal_form` is the
-public wrapper that returns all three as (U, D, V).
-
-One Smith reduction per lattice: `_solve` reduces a matrix once and reads
-off both an integer solution for a whole block of target columns and a
-basis of the kernel.  solve_integer and integer_kernel go through it, so
-no lattice is reduced once per column.
+only the transforms its caller reads: a cokernel reads the diagonal alone
+and carries neither transform, integer_kernel carries only the column
+transform V, and solve_integer carries both U and V for its one target.
+`smith_normal_form` is the public wrapper that returns all three as
+(U, D, V).
 
 A bounded complex is its term orders and its differentials: every term is
 a direct sum of cyclic groups, so validating one is divisibility of
 integers, and building one makes no Smith reduction.  cohomology makes no
 kernel or solve reduction at all: one pass of column operations over the
 rows of the differential cuts Z^n down to its kernel while rewriting the
-image in the kernel basis, and the normal form of that image is the
-answer.  In the top degree the kernel is everything and the pass is empty.
+image in the kernel basis, and the cokernel of that image is the answer.
+In the top degree the kernel is everything and the pass is empty.
 
 All arithmetic is exact on Python integers.  Matrices are small (the
 complexes in this package have at most 2^4 blocks), so Smith reduction by
@@ -209,26 +205,10 @@ class NoIntegerSolution(Exception):
     """Raised when an integer linear system A x = b has no solution."""
 
 
-def _solve(M: IntMatrix, B: IntMatrix) -> tuple[IntMatrix | None, IntMatrix]:
-    """One Smith reduction of M, two answers: an integer X with M X = B
-    (None when some column of B has no integer preimage) and a basis of
-    ker(M: Z^cols -> Z^rows) as matrix columns."""
-    n, m = M.rows, M.cols
-    # U only when there is a right-hand side to carry through it
-    A, U, V = [list(r) for r in M.data], _identity_rows(n) if B.cols else None, _identity_rows(m)
-    _smith(A, U, V)
-    # the nonzero diagonal entries come first
-    diag = [A[i][i] for i in range(min(n, m))]
-    rank = sum(1 for d in diag if d)
-    kernel = IntMatrix(m, m - rank, tuple(tuple(row[rank:]) for row in V))
-    if U is None:
-        return IntMatrix.zero(m, 0), kernel
-    C = _product(U, B.data, B.cols)
-    if any(any(row) for row in C[rank:]) or any(x % diag[i] for i in range(rank) for x in C[i]):
-        return None, kernel
-    Y = [tuple(x // diag[i] for x in C[i]) for i in range(rank)]
-    Y += [(0,) * B.cols] * (m - rank)
-    return IntMatrix(m, B.cols, _product(V, Y, B.cols)), kernel
+def _rank(A: list[list[int]]) -> int:
+    """The number of nonzero diagonal entries of rows A in Smith normal
+    form; they come first."""
+    return sum(1 for i in range(min(len(A), len(A[0]) if A else 0)) if A[i][i])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -243,11 +223,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def solve_integer(M, target) -> tuple[int, ...]:
     """One integer solution x of M x = target, or raise NoIntegerSolution."""
     M = _coerce(M)
-    # a target of the wrong length fails the shape check of IntMatrix
-    X, _ = _solve(M, IntMatrix(M.rows, 1, tuple((int(x),) for x in target)))
-    if X is None:
+    b = [int(x) for x in target]
+    if len(b) != M.rows:
+        raise ValueError(f"target of length {len(b)} for a matrix with {M.rows} rows")
+    A, U, V = [list(r) for r in M.data], _identity_rows(M.rows), _identity_rows(M.cols)
+    _smith(A, U, V)
+    rank = _rank(A)
+    c = [sum(map(mul, row, b)) for row in U]
+    if any(c[rank:]) or any(c[i] % A[i][i] for i in range(rank)):
         raise NoIntegerSolution
-    return X.col(0)
+    y = [c[i] // A[i][i] for i in range(rank)] + [0] * (M.cols - rank)
+    return tuple(sum(map(mul, row, y)) for row in V)
 
 
 def in_column_span(M, target) -> bool:
@@ -261,7 +247,10 @@ def in_column_span(M, target) -> bool:
 def integer_kernel(M) -> IntMatrix:
     """Basis of the lattice ker(M: Z^cols -> Z^rows), as matrix columns."""
     M = _coerce(M)
-    return _solve(M, IntMatrix.zero(M.rows, 0))[1]
+    A, V = [list(r) for r in M.data], _identity_rows(M.cols)
+    _smith(A, V=V)
+    rank = _rank(A)
+    return IntMatrix(M.cols, M.cols - rank, tuple(tuple(row[rank:]) for row in V))
 
 
 # ---------------------------------------------------------------------------
@@ -315,53 +304,26 @@ class FgAbelianGroup:
         orders = [0] * sum(g.rank for g in groups)
         for g in groups:
             orders.extend(g.invariant_factors)
-        return PresentedAbelianGroup.diagonal(orders).normal_form()
+        return cokernel([[n if i == j else 0 for j in range(len(orders))] for i, n in enumerate(orders)])
 
     def __str__(self):
         pieces = ["Z"] * self.rank + [f"Z/{d}" for d in self.invariant_factors]
         return " x ".join(pieces) if pieces else "0"
 
-    def as_json(self) -> dict:
-        return {"rank": self.rank, "invariant_factors": list(self.invariant_factors)}
 
+def cokernel(rows) -> FgAbelianGroup:
+    """Z^len(rows) modulo the column span of the matrix with these rows, one
+    row per generator, in invariant factors.
 
-@dataclass(frozen=True)
-class PresentedAbelianGroup:
-    """Z^n modulo the column span of the relation matrix, one row per
-    generator, so n is relations.rows."""
-
-    relations: IntMatrix
-
-    @property
-    def n_generators(self) -> int:
-        return self.relations.rows
-
-    @classmethod
-    def diagonal(cls, orders) -> "PresentedAbelianGroup":
-        """Z^len(orders) modulo orders[i] e_i: the direct sum of the cyclic
-        groups Z/orders[i], where an order of 0 gives Z and no relation.
-
-        >>> G = PresentedAbelianGroup.diagonal([4, 0, 6])
-        >>> G.relations.data
-        ((4, 0), (0, 0), (0, 6))
-        >>> print(G.normal_form())
-        Z x Z/2 x Z/12
-        """
-        orders = [int(n) for n in orders]
-        if any(n < 0 for n in orders):
-            raise ValueError("nonnegative orders required")
-        cols = [j for j, n in enumerate(orders) if n]
-        return cls(IntMatrix(len(orders), len(cols), tuple(
-            tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders))))
-
-    def normal_form(self) -> FgAbelianGroup:
-        A = [list(r) for r in self.relations.data]
-        _smith(A)
-        nonzero = [abs(A[i][i]) for i in range(min(self.relations.rows, self.relations.cols)) if A[i][i]]
-        return FgAbelianGroup(
-            self.n_generators - len(nonzero),
-            tuple(sorted(d for d in nonzero if d >= 2)),
-        )
+    >>> print(cokernel([[4, 0], [0, 0], [0, 6]]))
+    Z x Z/2 x Z/12
+    >>> str(cokernel([])), str(cokernel([(), ()]))
+    ('0', 'Z x Z')
+    """
+    A = [list(r) for r in rows]
+    _smith(A)
+    rank = _rank(A)
+    return FgAbelianGroup(len(A) - rank, tuple(A[i][i] for i in range(rank) if A[i][i] > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +414,6 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
     relators = [c for c, n in enumerate(src) if n]
     # one row per source generator: its relation column, then its row of d^(i-1)
     ys = [[n if c == r else 0 for r in relators] + list(row) for c, (n, row) in enumerate(zip(src, prev))]
-    width = len(ys[0]) if ys else 0
     d, orders = (C.differentials[k].data, C.term(i + 1)) if i < C.hi else ((), ())
     ws = [[row[c] for row in d] for c in range(len(src))]
     for j, t in enumerate(orders):
@@ -481,7 +442,7 @@ def cohomology(C: BoundedComplex, i: int) -> FgAbelianGroup:
             raise NoIntegerSolution
         else:
             del ws[p], ys[p]
-    return PresentedAbelianGroup(IntMatrix(len(ys), width, tuple(map(tuple, ys)))).normal_form()
+    return cokernel(ys)
 
 
 def euler_number(C: BoundedComplex) -> Fraction:

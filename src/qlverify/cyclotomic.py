@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .abelian import FgAbelianGroup, IntMatrix, PresentedAbelianGroup
+from .abelian import FgAbelianGroup, IntMatrix, cokernel
 from .gf import _trim
 from .numtheory import divisors, euler_phi
 
@@ -352,7 +352,7 @@ def quotient_by_principal(z: CyclotomicNumber) -> FgAbelianGroup:
     """
     if z.is_zero:
         raise ZeroDivisionError("quotient by (0) is infinite")
-    return PresentedAbelianGroup(multiplication_matrix(z)).normal_form()
+    return cokernel(multiplication_matrix(z).data)
 
 
 # -- low-level polynomial helpers used by inverse() ---------------------------

@@ -58,9 +58,11 @@ class InducedRepFF:
     summands: tuple[tuple[int, int, int], ...]  # (h, a, multiplicity)
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"group order must be positive, got {self.m}")
         for h, a, mult in self.summands:
-            if self.m % h != 0:
-                raise ValueError(f"subgroup order {h} does not divide {self.m}")
+            if h < 1 or self.m % h != 0:
+                raise ValueError(f"subgroup order {h} is not a positive divisor of {self.m}")
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
 

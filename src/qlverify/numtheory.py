@@ -36,10 +36,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
-    def num_distinct_primes(self) -> int:
-        return len(self.factors)
-
 
 # Factorization is frozen, so every caller may share the cached instance.
 @lru_cache(maxsize=None)
@@ -48,8 +44,6 @@ def factorize(n: int) -> Factorization:
 
     >>> factorize(12).factors
     ((2, 2), (3, 1))
-    >>> factorize(210).num_distinct_primes
-    4
     >>> factorize(1).factors
     ()
     """
@@ -171,6 +165,8 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     >>> prime_power_decomposition((10**18 + 3) ** 4)
     (1000000000000000003, 4)
     """
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     for e in reversed(range(1, q.bit_length())):
         p = _integer_root(q, e)
         if p**e == q and is_prime(p):

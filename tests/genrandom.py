@@ -1,6 +1,7 @@
 """Seeded random generators for property tests: valid bounded complexes of
 direct sums of cyclic groups with dense differentials, and random Mackey
-instances.  Also mat_vec, the matrix-vector product the tests share."""
+instances.  Also mat_vec, the matrix-vector product the tests share, and
+diagonal, the relation matrix of a direct sum of cyclic groups."""
 
 from __future__ import annotations
 
@@ -14,6 +15,15 @@ def mat_vec(M: IntMatrix, vec) -> tuple[int, ...]:
     """M times the column vector vec, as a matrix product."""
     vec = tuple(vec)
     return (M @ IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))).col(0)
+
+
+def diagonal(orders) -> IntMatrix:
+    """The relation columns orders[i] e_i of the direct sum of the cyclic
+    groups Z/orders[i], one row per summand; an order of 0 gives Z and no
+    column."""
+    cols = [j for j, n in enumerate(orders) if n]
+    return IntMatrix(len(orders), len(cols), tuple(
+        tuple(n if i == j else 0 for j in cols) for i, n in enumerate(orders)))
 
 
 def random_lattice_automorphism(rng: random.Random, orders, steps: int = 6):

@@ -64,7 +64,7 @@ def argv_lists(draw):
     command = draw(st.sampled_from(["ffqlc", "curves", "dirichlet", "nonsense"]))
     argv.append(command)
     if command == "ffqlc":
-        argv += _options(draw, [("--q", st.sampled_from(["2", "3", "4", "2,3", "6", "1", "x"])),
+        argv += _options(draw, [("--q", st.sampled_from(["2", "3", "4", "2,3", "6", "1", "x", "-9", "4,-9"])),
                                 ("--m-max", SMALL_INT), ("--k-max", SMALL_INT)])
     elif command == "curves":
         argv += _options(draw, [("--spec", COVER_SPECS),

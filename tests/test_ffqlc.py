@@ -170,6 +170,13 @@ def test_induced_rep_validation():
         InducedRepFF(6, ((4, 1, 1),))  # 4 does not divide 6
     with pytest.raises(ValueError):
         InducedRepFF(6, ((2, 1, 0),))
+    # a subgroup order of 0 or below, or a group order below 1, is refused
+    # here, not later inside CyclicCharacter
+    for m, h in ((4, 0), (4, -2), (4, -4), (0, 1), (-4, 2), (-4, -4)):
+        with pytest.raises(ValueError):
+            InducedRepFF(m, ((h, 1, 1),))
+    with pytest.raises(ValueError):
+        InducedRepFF(0, ())
 
 
 def test_norm_equals_direct_product_over_primitive_exponents():

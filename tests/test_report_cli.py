@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -81,13 +83,28 @@ def test_cli_deterministic_output():
     assert any(r["value"] == "1/24" for r in predictions)
 
 
+def run_main(args):
+    """cli.main(args) in this process, as (exit code, stdout, stderr); an
+    exception that escapes main fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_cli_usage_error_exit_2(tmp_path):
+    # one run through `python -m qlverify.cli`, the rest in process
     code, _, err = run_cli(["ffqlc", "--q", "6"])
     assert code == 2
-    assert "usage error" in err
-    code, _, _ = run_cli(["nonsense"])
+    assert "usage error" in err and "Traceback" not in err
+    code, _, _ = run_main(["nonsense"])
     assert code == 2
     for bad in (
+        ["ffqlc", "--q", "-9"],
+        ["ffqlc", "--q", "4,-9"],
         ["ffqlc", "--m-max", "-1"],
         ["ffqlc", "--k-max", "0"],
         ["dirichlet", "--N-max", "0"],
@@ -104,12 +121,12 @@ def test_cli_usage_error_exit_2(tmp_path):
         ["dirichlet", "--N-max", "0", "--field", '{"modulus":24,"subgroup":[1,23]}'],
         ["dirichlet", "--N-max", "0", "--field", '{"modulus":5,"subgroup":[1,2]}'],
     ):
-        code, out, err = run_cli(bad)
+        code, out, err = run_main(bad)
         assert code == 2
         assert "usage error" in err and "Traceback" not in err and out == ""
     assert not (tmp_path / "missing").exists()
     missing_spec = str(tmp_path / "nosuch.json")
-    code, out, err = run_cli(["curves", "--spec", missing_spec])
+    code, out, err = run_main(["curves", "--spec", missing_spec])
     assert (code, out) == (2, "")
     assert "usage error" in err and missing_spec in err and "Traceback" not in err
     bad_spec = tmp_path / "bad.json"
@@ -119,7 +136,7 @@ def test_cli_usage_error_exit_2(tmp_path):
         (["curves", "--spec", '{"p": 3,'], '{"p": 3,'),
         (["dirichlet", "--field", "not json"], "not json"),
     ):
-        code, out, err = run_cli(bad)
+        code, out, err = run_main(bad)
         assert (code, out) == (2, "")
         assert "usage error" in err and name in err and "Traceback" not in err
 

@@ -24,20 +24,43 @@ from .dirichlet import (
     verify_norm_identity_numberfield,
     verify_order_identity,
 )
-from .ffqlc import CyclicCharacter, InducedRepFF, verify_induced_ff, verify_main_theorem_ff
+from .ffqlc import (
+    CyclicCharacter,
+    InducedRepFF,
+    case_label,
+    verify_induced_ff,
+    verify_main_theorem_ff,
+)
 from .numtheory import prime_power_decomposition
 from .report import FAIL, PASS, SKIP, VerificationReport
 
 
 def run_ffqlc(q_list, m_max: int, k_max: int) -> VerificationReport:
     """verify_main_theorem_ff over all (q, m <= m_max, characters of C_m,
-    k <= k_max), plus a small deterministic sample of induced sums."""
+    k <= k_max), plus a small deterministic sample of induced sums.
+
+    Every path of verify_main_theorem_ff reads a character only through its
+    primitive character (m', a'), so each (q, m', a', k) is verified once
+    per run, and the lifts of (m', a') to larger m copy its records under
+    their own case label."""
     report = VerificationReport()
+    primitive_fields = {}  # (q, m', a', k) -> (quantity, path, value, status) of each record
     for q in q_list:
         for m in range(1, m_max + 1):
             for a in range(m):
+                chi = CyclicCharacter(m, a)
+                prim = chi.primitivize()
                 for k in range(1, k_max + 1):
-                    report.extend(verify_main_theorem_ff(q, CyclicCharacter(m, a), k))
+                    key = (q, prim.m, prim.a, k)
+                    fields = primitive_fields.get(key)
+                    if fields is None:
+                        fields = primitive_fields[key] = [
+                            (r.quantity, r.path, r.value, r.status)
+                            for r in verify_main_theorem_ff(q, prim, k).records
+                        ]
+                    case = case_label(q, chi, k)
+                    for record in fields:
+                        report.add(case, *record)
     for q in q_list:
         samples = []
         if m_max >= 4:

@@ -268,6 +268,7 @@ def _horner_histogram(t: _FieldTables, f: tuple[int, ...], lane) -> tuple[int, .
     p, n = t.p, t.n
     logs_c = [lane(t.dlog[c]) if c else None for c in f]
     top = logs_c[-1]
+    m = lane(p - 1)
     hist = np.zeros(p - 1, dtype=np.int64)
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)
@@ -298,7 +299,9 @@ def _horner_histogram(t: _FieldTables, f: tuple[int, ...], lane) -> tuple[int, .
             acc = i * lane(s) + top
         if zero is not None:
             acc = acc[~zero]
-        np.remainder(acc, lane(p - 1), out=acc)
+        # the logs are nonnegative once the zeros are dropped, so floor
+        # division reduces them; np.remainder takes about twice as long
+        acc -= acc // m * m
         hist += np.bincount(acc, minlength=p - 1)
     # the element x = 0 contributes f(0) = constant term
     if f[0]:

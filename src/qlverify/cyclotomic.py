@@ -8,7 +8,9 @@ hashing compare plain tuples.  Levels are never mixed implicitly;
 raise_level gives the embedding zeta_m' -> zeta_m^(m/m') for m' | m.
 
 Norms down to Q are computed as products of Galois conjugates, never by
-floating point.
+floating point: the conjugates sigma_j and sigma_(-j) are paired through
+the real element x * sigma_(-1)(x), and the product is accumulated on
+integer numerator vectors, over one denominator den^phi(m).
 """
 
 from __future__ import annotations
@@ -111,6 +113,15 @@ def _reduce(m: int, vec) -> tuple[int, ...]:
             for k, t in table[i - phi]:
                 out[k] += c * t
     return tuple(out)
+
+
+def _conjugate(m: int, num, j: int) -> tuple[int, ...]:
+    """Power-basis coefficients of the image of sum(num[i] zeta^i) under
+    zeta_m -> zeta_m^j."""
+    out = [0] * m
+    for i, c in enumerate(num):
+        out[(i * j) % m] += c
+    return _reduce(m, out)
 
 
 def _set_canonical(z, m: int, num, den: int) -> "CyclotomicNumber":
@@ -302,25 +313,36 @@ class CyclotomicNumber:
         m = self.level
         if gcd(j, m) != 1:
             raise ValueError(f"{j} is not coprime to the level {m}")
-        out = [0] * m
-        for i, c in enumerate(self.num):
-            out[(i * j) % m] += c
-        return _element(m, _reduce(m, out), self.den)
+        return _element(m, _conjugate(m, self.num, j), self.den)
 
     def norm_to_Q(self) -> Fraction:
         """Product of all Galois conjugates; lands in Q.
+
+        For m > 2 the units j and -j mod m pair up, so with the real element
+        y = x * sigma_(-1)(x) the norm is the product of sigma_j(y) over the
+        phi(m)/2 units j <= m/2: phi(m)/2 multiplications.  They multiply
+        integer numerator vectors, with no gcd on the way, and divide by
+        den^phi(m) once at the end.  A product with an irrational part
+        raises ValueError.
 
         >>> (1 - 2 * CyclotomicNumber.zeta(3)).norm_to_Q()
         Fraction(7, 1)
         >>> (1 - 3 * CyclotomicNumber.zeta(4)).norm_to_Q()
         Fraction(10, 1)
+        >>> (1 - 2 * CyclotomicNumber.zeta(5)).inverse().norm_to_Q() == Fraction(1, 31)
+        True
         """
-        m = self.level
-        result = CyclotomicNumber.rational(m, 1)
-        for j in range(1, m + 1):
+        m, num = self.level, self.num
+        if m <= 2:  # Q(zeta_m) = Q: x is its own norm
+            return Fraction(num[0], self.den)
+        y = _reduce(m, _poly_mul(num, _conjugate(m, num, -1)))
+        product = y
+        for j in range(2, m // 2 + 1):
             if gcd(j, m) == 1:
-                result = result * self.galois_conjugate(j)
-        return result.as_rational()
+                product = _reduce(m, _poly_mul(product, _conjugate(m, y, j)))
+        if any(product[1:]):
+            raise ValueError(f"the conjugate product of {self} is not rational")
+        return Fraction(product[0], self.den ** len(num))  # len(num) = phi(m)
 
     def raise_level(self, m_new: int) -> "CyclotomicNumber":
         """Embed into Q(zeta_m_new) along zeta_m -> zeta_m_new^(m_new/m)."""

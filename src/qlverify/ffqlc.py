@@ -148,6 +148,15 @@ def gcd_order_closed_form(q: int, m_eff: int, k: int) -> int:
     return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in factorize(m_eff).primes))
 
 
+def case_label(q: int, chi: CyclicCharacter, k: int) -> str:
+    """The case name of verify_main_theorem_ff's records for (q, chi, k).
+
+    >>> case_label(2, CyclicCharacter(6, 8), 1)
+    'ffqlc q=2 m=6 a=2 k=1'
+    """
+    return f"ffqlc q={q} m={chi.m} a={chi.a % chi.m} k={k}"
+
+
 def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> VerificationReport:
     """Cross-check all five computation paths for one (q, chi, k) case,
     chi a character of C_m with m = chi.m.
@@ -160,7 +169,7 @@ def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> Verification
     >>> report.ok, len(report.records)
     (True, 7)
     """
-    case = f"ffqlc q={q} m={chi.m} a={chi.a % chi.m} k={k}"
+    case = case_label(q, chi, k)
     rep = VerificationReport()
     prim = chi.primitivize()
 

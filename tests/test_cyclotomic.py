@@ -204,6 +204,46 @@ def test_norm_compatible_with_level_raising():
             assert z.raise_level(big).norm_to_Q() == z.norm_to_Q() ** (euler_phi(big) // euler_phi(m))
 
 
+def plain_conjugate_product(z) -> Fraction:
+    """Oracle: the product of all phi(m) conjugates of z, one canonical
+    multiplication per conjugate."""
+    m = z.level
+    out = CyclotomicNumber.rational(m, 1)
+    for j in range(1, m + 1):
+        if gcd(j, m) == 1:
+            out = out * z.galois_conjugate(j)
+    return out.as_rational()
+
+
+def test_paired_norm_matches_plain_conjugate_product():
+    # the norm pairs sigma_j with sigma_(-j) and multiplies integer vectors;
+    # it must equal the plain product of every conjugate, for integral
+    # elements, for elements with a denominator, and for the inverses of
+    # 1 - zeta^a q^k, whose denominators are the norms of 1 - zeta^a q^k
+    rng = random.Random(20)
+    for m in range(1, 61):
+        phi = euler_phi(m)
+        a = rng.choice([j for j in range(1, m + 1) if gcd(j, m) == 1])
+        q_k = rng.choice([2, 3, 4, 5, 7, 9])
+        cases = [
+            CyclotomicNumber(m, [rng.randint(-3, 3) for _ in range(phi)]),
+            CyclotomicNumber(m, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)]),
+            (1 - zeta(m, a) * q_k).inverse(),
+        ]
+        for z in cases:
+            assert z.norm_to_Q() == plain_conjugate_product(z), (m, z)
+
+
+def test_norm_refuses_an_irrational_conjugate_product(monkeypatch):
+    # with conjugation broken to the identity the "norm" of zeta_5 is
+    # zeta_5^4; it must raise, not return the constant coefficient
+    import qlverify.cyclotomic as cyc
+
+    monkeypatch.setattr(cyc, "_conjugate", lambda m, num, j: tuple(num))
+    with pytest.raises(ValueError):
+        zeta(5).norm_to_Q()
+
+
 # ---------------------------------------------------------------------------
 # quotient rings
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -18,6 +19,7 @@ from qlverify.ffqlc import (
     verify_induced_ff,
     verify_main_theorem_ff,
 )
+from qlverify.numtheory import euler_phi
 
 
 def test_characters():
@@ -245,3 +247,61 @@ def test_each_q_is_validated_once_per_run():
     after = prime_power_decomposition.cache_info()
     assert after.misses - before.misses <= 4 + 12
     assert after.hits > before.hits
+
+
+def _main_theorem_records(report):
+    return [r for r in report.records if not r.case.startswith("ffqlc-induced")]
+
+
+def _per_case_records(q_list, m_max, k_max):
+    return [
+        r
+        for q in q_list
+        for m in range(1, m_max + 1)
+        for a in range(m)
+        for k in range(1, k_max + 1)
+        for r in verify_main_theorem_ff(q, CyclicCharacter(m, a), k).records
+    ]
+
+
+def test_run_records_equal_per_case_records():
+    # a lift of a primitive character copies that character's records
+    # under its own label; the result must be what each case gives alone
+    from qlverify.cli import run_ffqlc
+
+    q_list = [2, 4, 9]
+    assert _main_theorem_records(run_ffqlc(q_list, 12, 2)) == _per_case_records(q_list, 12, 2)
+
+
+def test_run_verifies_each_primitive_character_once(monkeypatch):
+    import qlverify.cli as cli
+
+    seen = Counter()
+
+    def spy(q, chi, k):
+        prim = chi.primitivize()
+        seen[q, prim.m, prim.a, k] += 1
+        return verify_main_theorem_ff(q, chi, k)
+
+    monkeypatch.setattr(cli, "verify_main_theorem_ff", spy)
+    assert cli.run_ffqlc([2, 3, 5, 7], 12, 6).ok
+    # 46 primitive characters of order <= 12, times 4 values of q and 6 of k
+    assert len(seen) == 4 * sum(euler_phi(m) for m in range(1, 13)) * 6 == 1104
+    assert set(seen.values()) == {1}
+
+
+def test_run_memo_lives_for_one_run(monkeypatch):
+    # records are shared within a run only: a run with a corrupted Bredon
+    # path must report the corruption on every lift, and a later clean run
+    # must be clean again
+    import qlverify.ffqlc as ff
+    from qlverify.cli import run_ffqlc
+
+    assert run_ffqlc([3], 6, 2).ok
+    monkeypatch.setattr(ff, "_bredon_pi_odd", lambda q, m_eff, t: FgAbelianGroup.cyclic(7))
+    corrupted = _main_theorem_records(run_ffqlc([3], 6, 2))
+    assert corrupted == _per_case_records([3], 6, 2)
+    failing = {r.case for r in corrupted if r.status == "FAIL"}
+    assert {"ffqlc q=3 m=6 a=0 k=1", "ffqlc q=3 m=4 a=2 k=2"} <= failing  # lifts from m' = 1, 2
+    monkeypatch.undo()
+    assert run_ffqlc([3], 6, 2).ok

@@ -48,8 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -324,17 +325,14 @@ def _zech_progression(zech: np.ndarray, a: int, s: int, count: int) -> np.ndarra
 
 
 def _residue_histogram_mod(p, r, f, d) -> list[int]:
-    """Fold the mod-(p-1) histogram down to Z/d (d divides p-1, or d = 1).
+    """Fold the mod-(p-1) histogram down to Z/d, d dividing p - 1.
     f (nonzero mod p) is reduced and its trailing zeros dropped before the
     cache lookup, so f and f + 0 x^k share one histogram."""
     coeffs = [c % p for c in f]
     while not coeffs[-1]:
         coeffs.pop()
-    hist = _value_log_histogram(p, r, tuple(coeffs))
-    if d == 1:
-        return [sum(hist)]
     out = [0] * d
-    for c, count in enumerate(hist):
+    for c, count in enumerate(_value_log_histogram(p, r, tuple(coeffs))):
         out[c % d] += count
     return out
 
@@ -438,13 +436,9 @@ class TruncatedLSeries:
 
     def __pow__(self, n: int) -> "TruncatedLSeries":
         base = self if n >= 0 else self.inverse()
-        n = abs(n)
         result = TruncatedLSeries.one(self.level, self.order)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(abs(n)):
+            result = result * base
         return result
 
 
@@ -488,15 +482,12 @@ def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int)
     With e = d/s, a point x with dlog(f(x)) = c has e roots z exactly
     when e | c, with dlogs c/e + j n/e for j < e.  As n/e is a multiple
     of s, all e roots share the class (c/e) mod s, which c mod d already
-    determines, so the folded histogram suffices.
+    determines, so the folded histogram suffices: as c < d = e s, bucket j
+    holds e times the count of class c = e j.
     """
-    s = subgroup_order
-    e_top = cover.d // s  # exponent of the equation z^(e_top) = f(x)
-    buckets = [0] * s
-    for c, count in enumerate(_residue_histogram_mod(cover.p, r, cover.f, cover.d)):
-        if c % e_top == 0:
-            buckets[(c // e_top) % s] += e_top * count
-    return buckets
+    e = cover.d // subgroup_order  # exponent of the equation z^e = f(x)
+    hist = _residue_histogram_mod(cover.p, r, cover.f, cover.d)
+    return [e * hist[e * j] for j in range(subgroup_order)]
 
 
 def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order: int,
@@ -621,7 +612,9 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
     through every intermediate subgroup, the inclusion-exclusion identity
     for the primitive-character product, and (where the series determine a
     rational function within the degree bound) the special-value norm
-    comparison at s = -1 and s = -2."""
+    comparison at s = -1 and s = -2.  Each product is folded from its
+    factors, each Moebius factor is a quotient zeta or its inverse, and the
+    base X (d = 1) takes the same path: its one character a = 0 is primitive."""
     p, d = cover.p, cover.d
     B = cover.default_order() if order is None else order
     fstr = ",".join(str(c) for c in cover.f)
@@ -637,16 +630,14 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
         s: zeta_series(cover.quotient(s), B, level=d, max_field_size=max_field_size)
         for s in divisors(d)
     }
+    # the quotient zetas of inclusion-exclusion, with their Moebius signs
+    quotient_zetas = [(zeta_of[prod(subset)], sign)
+                      for subset, sign in squarefree_subsets(factorize(d).primes)]
 
     # restricted[s, b]: the product of L[a] over a = b mod s, the characters
     # of C_d that restrict to chi_(s,b) on C_s
-    restricted = {}
-    for s in divisors(d):
-        for b in range(s):
-            part = TruncatedLSeries.one(d, B)
-            for a in range(b, d, s):
-                part = part * L[a]
-            restricted[s, b] = part
+    restricted = {(s, b): reduce(mul, (L[a] for a in range(b, d, s)))
+                  for s in divisors(d) for b in range(s)}
 
     # (i) zeta(Y) = prod_a L(X, chi^a)
     rep.check(case, "zeta_factorization", "pair_counts|char_sum_product",
@@ -667,19 +658,18 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
                       restricted[s, b].coeffs, rhs.coeffs, render=_series_str)
 
     # (iv) inclusion-exclusion: primitive-character product from quotient zetas
-    primitive_product = TruncatedLSeries.one(d, B)
-    for a in range(d):
-        if gcd(a, d) == 1 or d == 1:
-            primitive_product = primitive_product * L[a]
-    moebius = TruncatedLSeries.one(d, B)
-    for subset, sign in squarefree_subsets(factorize(d).primes):
-        moebius = moebius * (zeta_of[prod(subset)] ** sign)
+    primitive_product = reduce(mul, (L[a] for a in range(d) if gcd(a, d) == 1))
+    moebius = reduce(mul, (z if sign == 1 else z.inverse() for z, sign in quotient_zetas))
     rep.check(case, "moebius_inversion", "primitive_product|quotient_zeta_alternating",
               primitive_product.coeffs, moebius.coeffs, render=_series_str)
 
     # special values: norm of the primitive L-value against the alternating
     # product of quotient zeta values, via rational reconstruction
     max_deg = cover.f_degree() + 2
+
+    def value(series, n):
+        return l_special_value_curve(*rational_reconstruction(series, max_deg), p, n)
+
     for n_val in (1, 2):
         quantity = f"special_value_norm n={n_val}"
         if B < 2 * max_deg + 2:
@@ -687,17 +677,8 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
                     f"order B={B} below 2*{max_deg}+2, the minimum for degree bound {max_deg}", SKIP)
             continue
         try:
-            if d == 1:
-                num, den = rational_reconstruction(L[0], max_deg)
-                lhs_value = l_special_value_curve(num, den, p, n_val).as_rational()
-            else:
-                num, den = rational_reconstruction(L[1], max_deg)
-                lhs_value = l_special_value_curve(num, den, p, n_val).norm_to_Q()
-            rhs_value = Fraction(1)
-            for subset, sign in squarefree_subsets(factorize(d).primes):
-                zn, zd = rational_reconstruction(zeta_of[prod(subset)], max_deg)
-                v = l_special_value_curve(zn, zd, p, n_val).as_rational()
-                rhs_value *= v if sign == 1 else 1 / v
+            lhs_value = value(L[1 % d], n_val).norm_to_Q()
+            rhs_value = prod(value(z, n_val).as_rational() ** sign for z, sign in quotient_zetas)
             rep.check(case, quantity, "norm_of_L_value|zeta_value_alternating",
                       lhs_value, rhs_value, render=fmt_rational)
         except InsufficientOrder:

@@ -250,24 +250,6 @@ class CyclotomicNumber:
         scale = self.den if c > 0 else -self.den
         return _element(m, _reduce(m, [x * scale for x in s1]), abs(c))
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CyclotomicNumber.rational(self.level, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- predicates and views ------------------------------------------------
 
     @property

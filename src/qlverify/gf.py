@@ -203,9 +203,6 @@ class FieldExt:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         prod = poly_mul_mod_p(list(a), list(b), self.p)
         red = poly_rem(prod, list(self.modulus), self.p)

@@ -26,7 +26,8 @@ from qlverify.curves import (
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify import curves, gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
-from qlverify.numtheory import divisors, smallest_primitive_root
+from qlverify.cli import DEFAULT_COVERS, run_curves
+from qlverify.numtheory import divisors, euler_phi, factorize, smallest_primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +409,10 @@ def test_series_product_inverse():
     assert (s * s.inverse()).coeffs == TruncatedLSeries.one(2, 6).coeffs
     assert (s ** 2).coeffs == (s * s).coeffs
     assert (s ** -1).coeffs == s.inverse().coeffs
+    assert (s ** 0).coeffs == TruncatedLSeries.one(2, 6).coeffs
+    for n in range(-2, 4):
+        assert ((s ** n) * s).coeffs == (s ** (n + 1)).coeffs, n
+        assert ((s ** n) * (s ** -n)).coeffs == TruncatedLSeries.one(2, 6).coeffs, n
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +493,84 @@ def test_verify_identities_budget_skip():
     assert len(rep.records) == 1
     assert rep.records[0].status == "SKIP"
     assert rep.ok
+
+
+@pytest.mark.parametrize("p,d,f,products", [(5, 4, (0, 1), 7), (7, 6, (1, 1), 16)])
+def test_identity_suite_folds_products_from_their_factors(monkeypatch, p, d, f, products):
+    """Each product of k series is k - 1 multiplications, with no unit seed
+    and no power: d tau(d) - sigma(d) for the restricted products,
+    phi(d) - 1 for the primitive product and 2^omega(d) - 1 for the Moebius
+    product.  The inverse quotient zetas are the suite's only inverses."""
+    calls = {"__mul__": 0, "inverse": 0, "__pow__": 0, "one": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("__mul__", "inverse", "__pow__"):
+        monkeypatch.setattr(TruncatedLSeries, name, spy(name, getattr(TruncatedLSeries, name)))
+    monkeypatch.setattr(TruncatedLSeries, "one", classmethod(spy("one", TruncatedLSeries.one.__func__)))
+    rep = verify_l_identities(KummerCover(p, d, f))
+    assert rep.ok and all(r.status == "PASS" for r in rep.records)
+    divs = divisors(d)
+    omega = len(factorize(d).primes)
+    assert d * len(divs) - sum(divs) + euler_phi(d) - 1 + 2**omega - 1 == products
+    assert calls == {"__mul__": products, "inverse": 2 ** (omega - 1), "__pow__": 0, "one": 0}
+
+
+def test_special_values_skip_when_no_recurrence_fits(monkeypatch):
+    """Moving one count from class 1 to class 0 at r = 4 breaks every
+    series the suite reconstructs, so each special value is a SKIP; the
+    series identities read the mutated histogram on both sides and pass."""
+    original = curves._residue_histogram_mod
+
+    def mutated(p, r, f, d):
+        out = original(p, r, f, d)
+        if r == 4 and d > 1:
+            out[0] += 1
+            out[1] -= 1
+        return out
+
+    monkeypatch.setattr(curves, "_residue_histogram_mod", mutated)
+    rep = run_curves(DEFAULT_COVERS)
+    assert [r.status for r in rep.records].count("PASS") == 27
+    skips = [r for r in rep.records if r.status != "PASS"]
+    assert [(r.case, r.quantity) for r in skips] == [
+        (case, f"special_value_norm n={n}")
+        for case in ("curve p=3 d=2 f=[0,1]", "curve p=5 d=4 f=[0,1]", "curve p=7 d=3 f=[1,1]")
+        for n in (1, 2)
+    ]
+    assert {(r.path, r.value, r.status) for r in skips} == {
+        ("rational_reconstruction", "no recurrence of order <= 3 at B=8", "SKIP")
+    }
+
+
+def test_special_value_skips_a_pole_for_that_n_only(monkeypatch):
+    original = curves.evaluate_rational
+
+    def pole_at_p(num, den, point):
+        if point == 5:
+            raise PoleError("denominator vanishes at the evaluation point")
+        return original(num, den, point)
+
+    monkeypatch.setattr(curves, "evaluate_rational", pole_at_p)
+    special = [r for r in verify_l_identities(KummerCover(5, 4, (0, 1))).records
+               if r.quantity.startswith("special_value")]
+    assert [(r.quantity, r.path, r.value, r.status) for r in special] == [
+        ("special_value_norm n=1", "rational_reconstruction", "pole at evaluation point", "SKIP"),
+        ("special_value_norm n=2", "norm_of_L_value|zeta_value_alternating", "1/1", "PASS"),
+    ]
+
+
+def test_base_curve_takes_the_general_path():
+    """d = 1: the trivial character is the primitive one, and the norm of
+    its value is zeta(G_m) = (1 - t)/(1 - p t) at t = p^n."""
+    rep = verify_l_identities(KummerCover(3, 1, (0, 1)))
+    assert rep.ok and all(r.status == "PASS" for r in rep.records)
+    special = {r.quantity: r.value for r in rep.records if r.quantity.startswith("special_value")}
+    assert special == {"special_value_norm n=1": "1/4", "special_value_norm n=2": "4/13"}
 
 
 def test_induction_identity_standalone():

@@ -11,6 +11,11 @@ Norms down to Q are computed as products of Galois conjugates, never by
 floating point: the conjugates sigma_j and sigma_(-j) are paired through
 the real element x * sigma_(-1)(x), and the product is accumulated on
 integer numerator vectors, over one denominator den^phi(m).
+
+The quotient Z[zeta_m]/(z) is the cokernel of multiplication by z, whose
+columns zeta^i z are each the last moved up one place less its top
+coefficient times Phi_m (a zeta-shift), so no column goes through the
+general reduction.
 """
 
 from __future__ import annotations
@@ -210,6 +215,8 @@ class CyclotomicNumber:
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):
+        if isinstance(other, int):  # n - x, as in 1 - zeta^a q^k: one element
+            return _element(self.level, [other * self.den - self.num[0]] + [-a for a in self.num[1:]], self.den)
         return (-self) + other
 
     def __mul__(self, other):
@@ -283,10 +290,13 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
     def as_json(self) -> dict:
-        return {
-            "level": self.level,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-        }
+        """Level and coefficients as lowest-terms "num/den" strings, zero as "0/1"."""
+        den = self.den
+        coeffs = []
+        for c in self.num:
+            g = gcd(c, den)
+            coeffs.append(f"{c // g}/{den // g}")
+        return {"level": self.level, "coeffs": coeffs}
 
     # -- Galois theory -------------------------------------------------------
 
@@ -338,21 +348,32 @@ class CyclotomicNumber:
 
 
 def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
-    """Matrix of multiplication by an integral z on Z[zeta_m] in the power basis."""
+    """Matrix of multiplication by an integral z on Z[zeta_m] in the power basis.
+
+    Column i is zeta^i z, taken by a zeta-shift of column i - 1: its
+    coefficients moved up one place, minus the coefficient that left the
+    top times Phi_m (monic)."""
     if not z.is_integral:
         raise ValueError("integral element required")
-    phi = euler_phi(z.level)
-    # column i is zeta^i z: the coefficients of z shifted up by i, reduced
-    cols = [_reduce(z.level, (0,) * i + z.num) for i in range(phi)]  # den == 1
-    return IntMatrix.from_rows(zip(*cols), phi)
+    phi_m = cyclotomic_polynomial(z.level)
+    col = list(z.num)  # den == 1
+    cols = [col]
+    for _ in range(1, len(col)):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [x - top * c for x, c in zip(col, phi_m)]
+        cols.append(col)
+    return IntMatrix(len(cols), len(cols), tuple(zip(*cols)))
 
 
 def quotient_by_principal(z: CyclotomicNumber) -> FgAbelianGroup:
     """The abelian group Z[zeta_m]/(z) for integral z != 0, in invariant
     factors, where m is z.level.
 
-    Computed as the cokernel of the multiplication-by-z matrix; its order
-    equals |norm_to_Q(z)|.
+    Computed as the cokernel of the multiplication-by-z matrix, whose
+    columns zeta^i z are taken by zeta-shifts; its order equals
+    |norm_to_Q(z)|.
     """
     if z.is_zero:
         raise ZeroDivisionError("quotient by (0) is infinite")

@@ -95,10 +95,13 @@ def zeta_value_ff(q_power: int, k: int) -> Fraction:
     return Fraction(1, 1 - q_power**k)
 
 
+@lru_cache(maxsize=None)
 def moebius_zeta_product_ff(q: int, m: int, k: int) -> Fraction:
     """Inclusion-exclusion product of zeta values of intermediate fields:
     prod over squarefree subsets S of the primes of m of
-    zeta(F_{q^(m/prod S)}, -k)^((-1)^|S|)."""
+    zeta(F_{q^(m/prod S)}, -k)^((-1)^|S|).
+
+    Cached: it reads no character, so the characters of one level share it."""
     prime_power_decomposition(q)
     if m < 1 or k < 1:
         raise ValueError("positive m and k required")
@@ -142,8 +145,11 @@ def _bredon_pi_odd(q: int, m_eff: int, t: int) -> FgAbelianGroup:
     return bredon_cohomology(k_mackey_finite_field(q, m_eff, t), 0)
 
 
+@lru_cache(maxsize=None)
 def gcd_order_closed_form(q: int, m_eff: int, k: int) -> int:
-    """gcd(q^(k m') - 1, (q^(k m') - 1)/(q^(k m'/p) - 1) for p | m')."""
+    """gcd(q^(k m') - 1, (q^(k m') - 1)/(q^(k m'/p) - 1) for p | m').
+
+    Cached, like moebius_zeta_product_ff: it reads no character."""
     big = q ** (k * m_eff) - 1
     return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in factorize(m_eff).primes))
 

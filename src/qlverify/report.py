@@ -3,13 +3,18 @@
 Every quantity is serialized exactly; rationals are always "num/den"
 strings and never floats.  A report with any FAIL record makes the batch
 driver exit nonzero.
+
+Each Record is a validated tuple: an immutable NamedTuple of its five
+string fields, whose constructor refuses an unknown status (NamedTuple's
+_make and _replace build without that check; the package calls neither).
+Like any tuple, a Record equals the plain tuple of the same five strings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -24,17 +29,25 @@ def fmt_rational(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class Record:
+# a NamedTuple class may not define __new__, so Record validates in a subclass
+class _RecordFields(NamedTuple):
     case: str
     quantity: str
     path: str
     value: str
     status: str
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status}")
+
+class Record(_RecordFields):
+    """One check's outcome: an immutable tuple of its five fields whose
+    status must be one of PASS, FAIL, PREDICTION and SKIP."""
+
+    __slots__ = ()
+
+    def __new__(cls, case: str, quantity: str, path: str, value: str, status: str):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status}")
+        return tuple.__new__(cls, (case, quantity, path, value, status))
 
 
 class VerificationReport:

@@ -515,14 +515,18 @@ def test_one_smith_reduction_per_membership_and_per_cohomology(monkeypatch):
 
 
 def test_cohomology_raises_when_an_image_column_leaves_the_kernel():
-    # Z --1--> Z --1--> Z has d^2 != 0, so construction rejects it; build it
-    # unchecked to reach cohomology, where im d^0 is not inside ker d^1
-    one = IntMatrix.from_rows([[1]])
-    C = object.__new__(BoundedComplex)
-    for name, value in (("lo", 0), ("orders", ((0,),) * 3), ("differentials", (one, one))):
-        object.__setattr__(C, name, value)
-    with pytest.raises(NoIntegerSolution):
-        cohomology(C, 1)
+    # both complexes have d^1 d^0 != 0, so construction rejects them; build
+    # them unchecked to reach cohomology, where im d^0 is not inside ker d^1.
+    # Z --1--> Z --1--> Z: the image lies on a kernel basis vector that is
+    # dropped (target order 0).  Z/12 --1--> Z/6 --2--> Z/4: it lies on one
+    # that is scaled by 2 (target order 4), and its coordinate 1 is odd.
+    for orders, entries in ((((0,),) * 3, (1, 1)), (((12,), (6,), (4,)), (1, 2))):
+        C = object.__new__(BoundedComplex)
+        differentials = tuple(IntMatrix.from_rows([[x]]) for x in entries)
+        for name, value in (("lo", 0), ("orders", orders), ("differentials", differentials)):
+            object.__setattr__(C, name, value)
+        with pytest.raises(NoIntegerSolution):
+            cohomology(C, 1)
 
 
 def kernel_then_solve_cohomology(C, i):

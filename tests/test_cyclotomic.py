@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlverify.abelian import cokernel
 from qlverify.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -274,6 +275,20 @@ def test_multiplication_matrix_matches_products():
             assert multiplication_matrix(z).data == product_built_multiplication_matrix(z), (m, z)
 
 
+def test_quotient_matches_cokernel_of_product_built_matrix():
+    # random integral elements, and binomials n + c zeta^j like the
+    # 1 - zeta^a q^k of the finite-field check
+    rng = random.Random(41)
+    for m in range(1, 41):
+        phi = euler_phi(m)
+        zs = [CyclotomicNumber.from_coeffs(m, [rng.randint(-5, 5) for _ in range(phi)]) for _ in range(2)]
+        zs += [rng.randint(-9, 9) + rng.choice((-1, 1)) * rng.randint(1, 9) * zeta(m, rng.randrange(m))
+               for _ in range(2)]
+        for z in zs:
+            if not z.is_zero:
+                assert quotient_by_principal(z) == cokernel(product_built_multiplication_matrix(z)), (m, z)
+
+
 def test_quotient_order_is_abs_norm():
     rng = random.Random(5)
     for m in (2, 3, 4, 5, 6, 8, 12):
@@ -309,6 +324,16 @@ def test_canonical_representation_and_integrality():
 def test_json_serialization():
     z = rat(3, Fraction(-2, 5)) + zeta(3)
     assert z.as_json() == {"level": 3, "coeffs": ["-2/5", "1/1"]}
+    # each coefficient in lowest terms, as its Fraction prints, zero as 0/1
+    for z in (
+        CyclotomicNumber(5, (0, Fraction(-3, 4), 0, Fraction(5, 6))),
+        CyclotomicNumber(12, (Fraction(-7, 9), 0, Fraction(-2, 3), 1)),
+        zeta(8, 3) * Fraction(-6, 4),
+        rat(7, 0),
+        rat(1, -5),
+    ):
+        want = [f"{c.numerator}/{c.denominator}" for c in z.coeffs]
+        assert z.as_json() == {"level": z.level, "coeffs": want}, z
 
 
 def test_canonical_form_equal_values_hash_equal():

@@ -46,6 +46,16 @@ def test_multiplication_distributes_over_addition(case):
 
 
 @PROPERTY
+@given(elements(1), st.integers(-10**6, 10**6))
+def test_integer_sums_and_differences_match_the_rational_element(case, n):
+    m, (x,) = case
+    r = CyclotomicNumber.rational(m, n)
+    for got, want in ((x + n, x + r), (n + x, r + x), (x - n, x - r), (n - x, r - x)):
+        assert got == want
+        assert canonical(got)
+
+
+@PROPERTY
 @given(elements(1))
 def test_inverse_is_two_sided(case):
     m, (z,) = case

@@ -290,6 +290,19 @@ def test_run_verifies_each_primitive_character_once(monkeypatch):
     assert set(seen.values()) == {1}
 
 
+def test_field_only_paths_run_once_per_field_level_and_k():
+    # the Moebius product and the gcd closed form read (q, m', k) only
+    from qlverify.cli import run_ffqlc
+    from qlverify.ffqlc import gcd_order_closed_form, moebius_zeta_product_ff
+
+    moebius_zeta_product_ff.cache_clear()
+    gcd_order_closed_form.cache_clear()
+    assert run_ffqlc([2, 3, 5, 7], 12, 6).ok
+    # 4 values of q, 12 levels m' and 6 of k; the induced samples use neither
+    assert moebius_zeta_product_ff.cache_info().misses == 4 * 12 * 6 == 288
+    assert gcd_order_closed_form.cache_info().misses == 288
+
+
 def test_run_memo_lives_for_one_run(monkeypatch):
     # records are shared within a run only: a run with a corrupted Bredon
     # path must report the corruption on every lift, and a later clean run

@@ -31,6 +31,17 @@ def test_report_counts_and_ok():
         Record("c", "q", "p", "v", "MAYBE")
 
 
+def test_record_is_immutable_and_validated():
+    r = Record("c", "q", "p", "v", PASS)
+    with pytest.raises(AttributeError):
+        r.status = FAIL
+    with pytest.raises(AttributeError):
+        r.value = "w"
+    with pytest.raises(ValueError):
+        Record(r.case, r.quantity, r.path, r.value, "MAYBE")
+    assert (r.case, r.quantity, r.path, r.value, r.status) == ("c", "q", "p", "v", PASS)
+
+
 def test_report_check_records_both_sides_on_failure():
     rep = VerificationReport()
     rep.check("c", "q", "p", 1, 2)

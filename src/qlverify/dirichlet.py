@@ -17,6 +17,16 @@ over Q and totally real is the fixed field of the kernel of an even
 character mod N, so real_cyclic_fields lists them without enumerating
 subgroups.
 
+Each pure per-field and per-character value is computed once per process
+(lru_cache), keyed as follows: the closure check of a subgroup on the
+reduced (N, H), the characters with kernel H on (N, H), a subgroup-chain
+step on (N, H, S), a Dedekind zeta value on (N, H, s), the integer
+Bernoulli weights on (k, f), and the array of chi(a) exponents by residue
+on the character.  That array is built only for the primitive characters
+whose values generalized_bernoulli sums; kernels are read through
+value_exponent, so listing all phi(N) characters of a large modulus builds
+none.  An invalid H raises on every call, since no exception is cached.
+
 Residues are kept in [0, N); for N = 1 the unit group is the single
 residue 0, which keeps every formula degenerate-safe.
 """
@@ -24,6 +34,7 @@ residue 0, which keeps every formula degenerate-safe.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -217,6 +228,29 @@ def bernoulli_polynomial(k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_weights(k: int, f: int) -> tuple[tuple[int, ...], int]:
+    """Integers w_i and den with w_i / den = c_i f^(k-i), c_i the
+    coefficients of B_k(x)."""
+    weights = [c * f ** (k - i) for i, c in enumerate(bernoulli_polynomial(k))]
+    den = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+
+
+@lru_cache(maxsize=None)
+def _residue_exponents(chi: DirichletCharacter) -> array:
+    """At index a - 1 for a in 1..f: e with chi(a) = zeta_order^e, or -1
+    where gcd(a, f) > 1.
+
+    Built only for the characters whose values generalized_bernoulli sums,
+    never for those only asked for a kernel.  A field of large modulus with
+    a small H sums about phi(N) characters, so the table holds machine
+    integers (8 bytes a residue), not Python pairs (about 120 bytes)."""
+    f = chi.modulus
+    return array("l", (-1 if e is None else e
+                       for e in map(chi.value_exponent, range(1, f + 1))))
+
+
 def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     """B_(k,chi) = f^(k-1) sum_(a=1..f) chi(a) B_k(a/f) for primitive chi mod f.
 
@@ -238,16 +272,14 @@ def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
         raise ValueError("primitive character required")
     n = chi.order
     power_sums = [[0] * (k + 1) for _ in range(n)]
-    for a in range(1, f + 1):
-        e = chi.value_exponent(a)
-        if e is not None:
-            row, x = power_sums[e], 1
-            for i in range(k + 1):
-                row[i] += x
-                x *= a
-    weights = [c * f ** (k - i) for i, c in enumerate(bernoulli_polynomial(k))]
-    den = lcm(*(w.denominator for w in weights))
-    weights = [w.numerator * (den // w.denominator) for w in weights]
+    for a, e in enumerate(_residue_exponents(chi), 1):
+        if e < 0:
+            continue
+        row, x = power_sums[e], 1
+        for i in range(k + 1):
+            row[i] += x
+            x *= a
+    weights, den = _bernoulli_weights(k, f)
     vec = [sum(w * s for w, s in zip(weights, row)) for row in power_sums]
     return _element(n, _reduce(n, vec), den * f)
 
@@ -270,9 +302,14 @@ def dirichlet_l_value(chi: DirichletCharacter, s: int) -> CyclotomicNumber:
 
 
 def _validate_subgroup(N: int, H) -> frozenset[int]:
-    H = frozenset(a % N for a in H)
-    us = set(units(N))
-    if not H or not H <= us:
+    return _checked_subgroup(N, frozenset(a % N for a in H))
+
+
+@lru_cache(maxsize=None)
+def _checked_subgroup(N: int, H: frozenset[int]) -> frozenset[int]:
+    # an invalid H raises, and lru_cache stores no exception: it raises again
+    # on every call
+    if not H or not H <= set(units(N)):
         raise ValueError(f"{sorted(H)} is not a set of units mod {N}")
     for a in H:
         for b in H:
@@ -281,6 +318,7 @@ def _validate_subgroup(N: int, H) -> frozenset[int]:
     return H
 
 
+@lru_cache(maxsize=None)
 def _characters_with_kernel(N: int, H: frozenset[int]) -> tuple[DirichletCharacter, ...]:
     # H is a reduced subgroup: a public caller has validated it
     return tuple(chi for chi in all_characters(N) if chi.kernel == H)
@@ -321,6 +359,7 @@ def dedekind_zeta_abelian(N: int, H, s: int) -> Fraction:
     return _dedekind_zeta(N, _validate_subgroup(N, H), s)
 
 
+@lru_cache(maxsize=None)
 def _dedekind_zeta(N: int, H: frozenset[int], s: int) -> Fraction:
     # H is a reduced subgroup: a public caller has validated it, or
     # _subgroup_chain built it
@@ -337,7 +376,8 @@ def _dedekind_zeta(N: int, H: frozenset[int], s: int) -> Fraction:
     return total.as_rational()
 
 
-def _subgroup_chain(N: int, H, S_product: int):
+@lru_cache(maxsize=None)
+def _subgroup_chain(N: int, H: frozenset[int], S_product: int) -> frozenset[int]:
     """Preimage in (Z/N)^x of the order-S_product subgroup of the cyclic
     quotient by H: the units whose S_product-th power lies in H."""
     return frozenset(a for a in units(N) if pow(a, S_product, N) in H)

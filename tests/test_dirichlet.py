@@ -1,16 +1,22 @@
+import gc
+import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from naive_subgroups import all_subgroups, quotient_is_cyclic, subgroup_generated
+import qlverify.dirichlet as dirichlet
+from qlverify.cli import run_dirichlet
 from qlverify.cyclotomic import CyclotomicNumber
 from qlverify.dirichlet import (
     DirichletCharacter,
     _characters_with_kernel,
     _crt_lift,
+    _residue_exponents,
     all_characters,
     bernoulli_number,
     bernoulli_polynomial,
@@ -165,15 +171,28 @@ def _scaled_bernoulli_values(f, k):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _generator_logs(f):
+    """residue mod f -> exponents x with a = prod g_i^x_i over the
+    unit_group generators, by search over every exponent vector."""
+    gens = unit_group(f)
+    return {prod(pow(g, x, f) for (g, _), x in zip(gens, xs)) % f: xs
+            for xs in itertools.product(*(range(o) for _, o in gens))}
+
+
 def _bernoulli_by_residues(chi, k):
     """sum_(a=1..f) chi(a) f^(k-1) B_k(a/f), one term per residue a, added
-    onto the coefficient of zeta^e where chi(a) = zeta^e."""
-    coeffs = [Fraction(0)] * chi.order
-    for a, value in enumerate(_scaled_bernoulli_values(chi.modulus, k), 1):
-        e = chi.value_exponent(a)
-        if e is not None:
-            coeffs[e] += value
-    return CyclotomicNumber.from_coeffs(chi.order, coeffs)
+    onto the coefficient of zeta^e where chi(a) = zeta^e.  The exponent e is
+    taken from chi's generator exponents and the generator logarithm of a,
+    not from the character's own evaluation."""
+    n, f = chi.order, chi.modulus
+    coeffs = [Fraction(0)] * n
+    for a, value in enumerate(_scaled_bernoulli_values(f, k), 1):
+        xs = _generator_logs(f).get(a % f)
+        if xs is not None:
+            e = sum(x * c * n // o for x, c, (_, o) in zip(xs, chi.exponents, unit_group(f)))
+            coeffs[e % n] += value
+    return CyclotomicNumber.from_coeffs(n, coeffs)
 
 
 def test_generalized_bernoulli_matches_per_residue_sum():
@@ -391,6 +410,32 @@ def test_kernel_questions_evaluate_each_character_once_per_unit(monkeypatch):
     assert calls <= euler_phi(40) ** 2
 
 
+def test_kernel_questions_build_no_residue_table():
+    """A --field with a large modulus enumerates all phi(N) characters; a
+    per-residue table on each would hold phi(N) * N entries."""
+    all_characters.cache_clear()  # fresh characters: nothing cached on them yet
+    _characters_with_kernel.cache_clear()
+    tables = _residue_exponents.cache_info().currsize
+    fields = real_cyclic_fields(97)
+    assert len(fields) == 10  # one per divisor of 48: H contains -1 iff [G:H] | 96/2
+    for H in fields:
+        assert _characters_with_kernel(97, H)
+    assert _residue_exponents.cache_info().currsize == tables
+    for chi in all_characters(97):
+        assert set(vars(chi)) <= {"modulus", "exponents", "order", "_scales", "kernel"}, chi
+
+
+def test_summed_character_table_holds_machine_integers():
+    """Each summed character keeps its table for the run, and a field of
+    large modulus with a small H sums about phi(N) of them: the table is
+    one machine word a residue, with no Python object per residue."""
+    table = _residue_exponents(DirichletCharacter(97, (1,)))
+    assert [r for r in gc.get_referents(table) if not isinstance(r, type)] == []
+    assert sys.getsizeof(table) <= 8 * 97 + 128
+    # 1, 2, 3, 4 = 5^0, 5^34, 5^70, 5^68 mod 97, and 97 is no unit
+    assert list(table[:4]) == [0, 34, 70, 68] and len(table) == 97 and table[-1] == -1
+
+
 def test_zeta_order_examples():
     Hpm = frozenset({1, 4})
     assert zeta_order_of_vanishing(5, Hpm, -1) == 0   # k = 2 even: r2 = 0
@@ -434,17 +479,16 @@ def test_prediction_rejects_complex_fields():
 
 
 def test_subgroup_inputs_validated():
-    with pytest.raises(ValueError):
-        dedekind_zeta_abelian(5, {1, 2}, -1)  # not closed: 2*2 = 4 missing
-    with pytest.raises(ValueError):
-        verify_order_identity(10, {1, 5}, 2)  # 5 is not a unit mod 10
-    with pytest.raises(ValueError):
-        verify_norm_identity_numberfield(5, set(), 1)
+    for _ in range(2):  # no validation result is cached for an invalid H
+        with pytest.raises(ValueError):
+            dedekind_zeta_abelian(5, {1, 2}, -1)  # not closed: 2*2 = 4 missing
+        with pytest.raises(ValueError):
+            verify_order_identity(10, {1, 5}, 2)  # 5 is not a unit mod 10
+        with pytest.raises(ValueError):
+            verify_norm_identity_numberfield(5, set(), 1)
 
 
 def test_subgroup_validated_once_per_public_call(monkeypatch):
-    import qlverify.dirichlet as dirichlet
-
     calls = []
     original = dirichlet._validate_subgroup
 
@@ -470,3 +514,20 @@ def test_bernoulli_numbers_match_sympy():
         expected = Fraction(str(sympy.bernoulli(k)))
         # sympy >= 1.12 takes B_1 = +1/2; this package takes B_1 = -1/2
         assert bernoulli_number(k) == (-abs(expected) if k == 1 else expected), k
+
+
+def test_per_field_values_computed_once_per_run():
+    caches = (dirichlet._dedekind_zeta, dirichlet._subgroup_chain,
+              dirichlet._characters_with_kernel, dirichlet._checked_subgroup)
+    for cache in caches:
+        cache.cache_clear()
+    run_dirichlet(40, 3)
+    zeta, chain, kernel, closure = (cache.cache_info() for cache in caches)
+    # 124 fields: one closure check and one kernel scan each, 838 zeta
+    # values of 372 distinct (N, H, s), 2,142 chain steps of 238 distinct
+    assert (zeta.misses, zeta.hits) == (372, 466)
+    assert (chain.misses, chain.hits) == (238, 1904)
+    assert (kernel.misses, closure.misses) == (124, 124)
+    run_dirichlet(40, 3)  # the second run only hits
+    assert [cache.cache_info().misses for cache in caches] == [372, 238, 124, 124]
+    assert dirichlet._dedekind_zeta.cache_info().hits == 466 + 838

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 from qlverify import cli
 from qlverify.report import FAIL, PASS, Record, VerificationReport, fmt_rational
 from fractions import Fraction
+
+DIGESTS = Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json"
 
 
 def test_fmt_rational():
@@ -193,6 +196,19 @@ def test_cli_refuses_an_undecidable_prime_at_once():
         code, out, err = run_cli(args)
         assert (code, out) == (2, "")
         assert "usage error" in err and "cannot decide" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workload, argv", [
+    ("dirichlet-matrix", ["dirichlet", "--N-max", "40", "--n-max", "3"]),
+    ("ffqlc-matrix", ["ffqlc", "--q", "2,3,5,7", "--m-max", "12", "--k-max", "6"]),
+])
+def test_cli_report_matches_the_benchmark_digest(tmp_path, workload, argv):
+    """The unseeded benchmark reports, byte for byte.  digests.json is only
+    read here, never written."""
+    expected = json.loads(DIGESTS.read_text())[workload]["*"]
+    out = tmp_path / "report.tsv"
+    assert cli.main(["--out", str(out), *argv]) == 0
+    assert hashlib.sha256(out.read_text().encode()).hexdigest() == expected
 
 
 def test_cli_out_file(tmp_path):

@@ -6,8 +6,9 @@ errors: bad flags or specs (unknown spec keys, a --max-field-size below 1),
 an --out file that cannot be opened, which is checked before any
 computation, and a parameter matrix that checks nothing, that is one that
 yields no PASS and no FAIL record (no records at all, or only SKIP and
-PREDICTION records).  Output is byte-identical across runs with the same
-flags.
+PREDICTION records).  Running out of memory and a report that cannot be
+written (a full disk) also exit 2.  Output is byte-identical across runs
+with the same flags.
 """
 
 from __future__ import annotations
@@ -192,6 +193,29 @@ def _load_cover_specs(args) -> list[dict]:
     return [_cover_spec(spec) for spec in specs]
 
 
+def _report(parser, args) -> VerificationReport:
+    """The chosen suite's report; usage errors and running out of memory exit 2."""
+    try:
+        if args.command == "ffqlc":
+            report = run_ffqlc(_parse_q_list(args.q), args.m_max, args.k_max)
+        elif args.command == "curves":
+            if args.max_field_size < 1:
+                raise ValueError(f"--max-field-size must be >= 1, got {args.max_field_size}")
+            report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
+        else:
+            fields = [_field_spec(_json_arg("--field", text)) for text in args.field]
+            report = run_dirichlet(args.N_max, args.n_max, fields)
+    except (ValueError, OSError, KeyError) as exc:
+        parser.exit(2, f"usage error: {type(exc).__name__}: {exc}\n")
+    except MemoryError:
+        parser.exit(2, "usage error: out of memory; a smaller --max-field-size bounds the curve tables\n")
+    counts = report.counts()
+    if not counts[PASS] and not counts[FAIL]:
+        parser.exit(2, f"usage error: the parameter matrix yields no checks "
+                       f"(no PASS or FAIL record, SKIP={counts[SKIP]})\n")
+    return report
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -199,24 +223,13 @@ def main(argv=None) -> int:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         parser.exit(2, f"usage error: cannot open --out: {exc}\n")
-    with out as fh:
-        try:
-            if args.command == "ffqlc":
-                report = run_ffqlc(_parse_q_list(args.q), args.m_max, args.k_max)
-            elif args.command == "curves":
-                if args.max_field_size < 1:
-                    raise ValueError(f"--max-field-size must be >= 1, got {args.max_field_size}")
-                report = run_curves(_load_cover_specs(args), args.order, args.max_field_size)
-            else:
-                fields = [_field_spec(_json_arg("--field", text)) for text in args.field]
-                report = run_dirichlet(args.N_max, args.n_max, fields)
-        except (ValueError, OSError, KeyError) as exc:
-            parser.exit(2, f"usage error: {type(exc).__name__}: {exc}\n")
-        counts = report.counts()
-        if not counts[PASS] and not counts[FAIL]:
-            parser.exit(2, f"usage error: the parameter matrix yields no checks "
-                           f"(no PASS or FAIL record, SKIP={counts[SKIP]})\n")
-        fh.write(report.to_json() if args.format == "json" else report.to_tsv())
+    try:
+        with out as fh:
+            report = _report(parser, args)
+            fh.write(report.to_json() if args.format == "json" else report.to_tsv())
+            fh.flush()
+    except OSError as exc:
+        parser.exit(2, f"error: cannot write the report: {exc}\n")
     return 0 if report.ok else 1
 
 

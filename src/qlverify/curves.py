@@ -60,7 +60,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicNumber
 from .gf import primitive_polynomial
-from .numtheory import divisors, factorize, is_prime, squarefree_subsets
+from .numtheory import divisors, is_prime, squarefree_divisors
 from .report import SKIP, VerificationReport, fmt_rational
 
 # Largest field size enumerated exhaustively; beyond this the required
@@ -637,8 +637,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
         for s in divisors(d)
     }
     # the quotient zetas of inclusion-exclusion, with their Moebius signs
-    quotient_zetas = [(zeta_of[prod(subset)], sign)
-                      for subset, sign in squarefree_subsets(factorize(d).primes)]
+    quotient_zetas = [(zeta_of[s], mu) for s, mu in squarefree_divisors(d)]
 
     # restricted[s, b]: the product of L[a] over a = b mod s, the characters
     # of C_d that restrict to chi_(s,b) on C_s
@@ -665,7 +664,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
 
     # (iv) inclusion-exclusion: primitive-character product from quotient zetas
     primitive_product = reduce(mul, (L[a] for a in range(d) if gcd(a, d) == 1))
-    moebius = reduce(mul, (z if sign == 1 else z.inverse() for z, sign in quotient_zetas))
+    moebius = reduce(mul, (z if mu == 1 else z.inverse() for z, mu in quotient_zetas))
     rep.check(case, "moebius_inversion", "primitive_product|quotient_zeta_alternating",
               primitive_product.coeffs, moebius.coeffs, render=_series_str)
 
@@ -684,7 +683,7 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
             continue
         try:
             lhs_value = value(L[1 % d], n_val).norm_to_Q()
-            rhs_value = prod(value(z, n_val).as_rational() ** sign for z, sign in quotient_zetas)
+            rhs_value = prod(value(z, n_val).as_rational() ** mu for z, mu in quotient_zetas)
             rep.check(case, quantity, "norm_of_L_value|zeta_value_alternating",
                       lhs_value, rhs_value, render=fmt_rational)
         except InsufficientOrder:

@@ -12,10 +12,9 @@ floating point: the conjugates sigma_j and sigma_(-j) are paired through
 the real element x * sigma_(-1)(x), and the product is accumulated on
 integer numerator vectors, over one denominator den^phi(m).
 
-The quotient Z[zeta_m]/(z) is the cokernel of multiplication by z, whose
-columns zeta^i z are each the last moved up one place less its top
-coefficient times Phi_m (a zeta-shift), so no column goes through the
-general reduction.
+One zeta-shift builds both the reduction table of x^i mod Phi_m and the
+columns zeta^i z of the matrix whose cokernel is Z[zeta_m]/(z).  Galois
+conjugates and raise_level are one monomial substitution zeta -> zeta^j.
 """
 
 from __future__ import annotations
@@ -84,6 +83,17 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
+def _zeta_shift(vec: list[int], phi_m) -> list[int]:
+    """Power-basis coefficients of zeta times sum(vec[i] zeta^i): vec moved
+    up one place, less the coefficient that left the top times Phi_m
+    (monic, lowest degree first)."""
+    top = vec[-1]
+    vec = [0] + vec[:-1]
+    if top:
+        vec = [x - top * c for x, c in zip(vec, phi_m)]
+    return vec
+
+
 @lru_cache(maxsize=None)
 def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x^i mod Phi_m for phi(m) <= i < m, each row as the (index,
@@ -93,10 +103,7 @@ def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     rows = []
     for _ in range(len(row), m):
         rows.append(tuple((k, c) for k, c in enumerate(row) if c))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [r - top * c for r, c in zip(row, phi_m)]
+        row = _zeta_shift(row, phi_m)
     return tuple(rows)
 
 
@@ -121,8 +128,8 @@ def _reduce(m: int, vec) -> tuple[int, ...]:
 
 
 def _conjugate(m: int, num, j: int) -> tuple[int, ...]:
-    """Power-basis coefficients of the image of sum(num[i] zeta^i) under
-    zeta_m -> zeta_m^j."""
+    """Power-basis coefficients of sum(num[i] zeta_m^(i j)): a Galois
+    conjugate for gcd(j, m) = 1, a level raise for j = m / level."""
     out = [0] * m
     for i, c in enumerate(num):
         out[(i * j) % m] += c
@@ -340,30 +347,19 @@ class CyclotomicNumber:
         """Embed into Q(zeta_m_new) along zeta_m -> zeta_m_new^(m_new/m)."""
         if m_new % self.level != 0:
             raise ValueError(f"{self.level} does not divide {m_new}")
-        step = m_new // self.level
-        out = [0] * ((len(self.num) - 1) * step + 1)
-        for i, c in enumerate(self.num):
-            out[i * step] += c
-        return _element(m_new, _reduce(m_new, out), self.den)
+        return _element(m_new, _conjugate(m_new, self.num, m_new // self.level), self.den)
 
 
 def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
     """Matrix of multiplication by an integral z on Z[zeta_m] in the power basis.
 
-    Column i is zeta^i z, taken by a zeta-shift of column i - 1: its
-    coefficients moved up one place, minus the coefficient that left the
-    top times Phi_m (monic)."""
+    Column i is zeta^i z, the zeta-shift of column i - 1."""
     if not z.is_integral:
         raise ValueError("integral element required")
     phi_m = cyclotomic_polynomial(z.level)
-    col = list(z.num)  # den == 1
-    cols = [col]
-    for _ in range(1, len(col)):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [x - top * c for x, c in zip(col, phi_m)]
-        cols.append(col)
+    cols = [list(z.num)]  # den == 1
+    for _ in range(1, len(z.num)):
+        cols.append(_zeta_shift(cols[-1], phi_m))
     return IntMatrix(len(cols), len(cols), tuple(zip(*cols)))
 
 

@@ -7,7 +7,8 @@ when 8 | N).  Values live in Q(zeta_n) for n the order of the character.
 L(1-k, chi) is computed through the generalized Bernoulli number of the
 primitive character: primitivization is always applied first, which is
 what makes the zeta factorization of an abelian field exact rather than
-exact-up-to-Euler-factors.
+exact-up-to-Euler-factors.  The norm and order identities sum over the
+squarefree divisors of the field degree, one subgroup-chain step each.
 
 Each character's kernel is computed once, and the subgroup tests of the
 abelian-field layer are set operations on it: H <= kernel for the fixed
@@ -41,13 +42,7 @@ from functools import cached_property, lru_cache
 from math import comb, gcd, lcm, prod
 
 from .cyclotomic import CyclotomicNumber, _element, _reduce
-from .numtheory import (
-    divisors,
-    euler_phi,
-    factorize,
-    smallest_primitive_root,
-    squarefree_subsets,
-)
+from .numtheory import divisors, euler_phi, factorize, smallest_primitive_root, squarefree_divisors
 from .report import PREDICTION, VerificationReport, fmt_rational
 
 
@@ -77,7 +72,7 @@ def unit_group(N: int) -> tuple[tuple[int, int], ...]:
     if N < 1:
         raise ValueError("positive modulus required")
     out = []
-    for p, e in factorize(N).factors:
+    for p, e in factorize(N):
         q = p**e
         if p == 2:
             if e == 1:
@@ -130,11 +125,8 @@ class DirichletCharacter:
     # dataclass allows; fields, __eq__, __hash__ and repr stay as they are.
     @cached_property
     def order(self) -> int:
-        n = 1
-        for c, (_, o) in zip(self.exponents, unit_group(self.modulus)):
-            t = o // gcd(o, c)
-            n = n * t // gcd(n, t)
-        return n
+        gens = unit_group(self.modulus)
+        return lcm(*(o // gcd(o, c) for c, (_, o) in zip(self.exponents, gens)))
 
     @cached_property
     def _scales(self) -> tuple[int, ...]:
@@ -367,9 +359,7 @@ def _dedekind_zeta(N: int, H: frozenset[int], s: int) -> Fraction:
     if k < 2:
         raise ValueError("k >= 2 required (the trivial character hits the excluded k = 1)")
     values = [dirichlet_l_value(chi, s) for chi in all_characters(N) if H <= chi.kernel]
-    level = 1
-    for v in values:
-        level = level * v.level // gcd(level, v.level)
+    level = lcm(*(v.level for v in values))
     total = CyclotomicNumber.rational(level, 1)
     for v in values:
         total = total * v.raise_level(level)
@@ -402,10 +392,8 @@ def verify_norm_identity_numberfield(N: int, H, n: int) -> VerificationReport:
     rep = VerificationReport()
     s = 1 - 2 * n
     lhs = dirichlet_l_value(chars[0], s).norm_to_Q()
-    rhs = Fraction(1)
-    for subset, sign in squarefree_subsets(factorize(m).primes):
-        z = _dedekind_zeta(N, _subgroup_chain(N, H, prod(subset)), s)
-        rhs *= z if sign == 1 else 1 / z
+    rhs = prod(_dedekind_zeta(N, _subgroup_chain(N, H, d), s) ** mu
+               for d, mu in squarefree_divisors(m))
     rep.check(case, "norm_identity", "norm_of_L|moebius_dedekind_zeta",
               lhs, rhs, render=fmt_rational)
     return rep
@@ -437,9 +425,8 @@ def verify_order_identity(N: int, H, k: int) -> VerificationReport:
     parity_match = (chi.is_even and k % 2 == 0) or (chi.is_odd and k % 2 == 1)
     ord_l = 0 if parity_match else 1
     lhs = euler_phi(m) * ord_l
-    rhs = 0
-    for subset, sign in squarefree_subsets(factorize(m).primes):
-        rhs += sign * zeta_order_of_vanishing(N, _subgroup_chain(N, H, prod(subset)), 1 - k)
+    rhs = sum(mu * zeta_order_of_vanishing(N, _subgroup_chain(N, H, d), 1 - k)
+              for d, mu in squarefree_divisors(m))
     rep.check(case, "order_identity", "parity_bernoulli|borel_table_moebius", lhs, rhs)
     return rep
 

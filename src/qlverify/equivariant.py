@@ -31,7 +31,7 @@ from .abelian import (
     IntMatrix,
     cohomology,
 )
-from .numtheory import divisors, factorize, multiplicative_order
+from .numtheory import divisors, multiplicative_order, prime_factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,7 @@ class CyclicMackeyData:
         for a, n in orders.items():
             if n < 1:
                 raise ValueError(f"order {n} at level {a} is not positive")
-            for p in factorize(a).primes:
+            for p in prime_factors(a):
                 if orders[a // p] % n:
                     raise ValueError(f"order {n} at level {a} does not divide "
                                      f"order {orders[a // p]} at level {a // p}")
@@ -119,7 +119,7 @@ def moore_cochain_complex(M: CyclicMackeyData) -> BoundedComplex:
     of one datum builds and validates it once.  Mackey data are frozen and
     compare by identity, so the cache key is the datum itself.
     """
-    return _cech_complex(factorize(M.m).primes, lambda S: M.orders[prod(S)])
+    return _cech_complex(prime_factors(M.m), lambda S: M.orders[prod(S)])
 
 
 def bredon_cohomology(M: CyclicMackeyData, s: int) -> FgAbelianGroup:
@@ -133,7 +133,7 @@ def h0_fixed_point_oracle(M: CyclicMackeyData) -> FgAbelianGroup:
     restrictions.  That is the cokernel of one 1 x k row, so it is cyclic
     of order the gcd of the row."""
     return FgAbelianGroup.cyclic(
-        gcd(M.orders[1], *(M.multiplier(p, 1) for p in factorize(M.m).primes)))
+        gcd(M.orders[1], *(M.multiplier(p, 1) for p in prime_factors(M.m))))
 
 
 def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:

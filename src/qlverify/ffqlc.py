@@ -25,7 +25,7 @@ from math import gcd, prod
 from .abelian import FgAbelianGroup
 from .cyclotomic import CyclotomicNumber, quotient_by_principal
 from .equivariant import CyclicMackeyData, bredon_cohomology
-from .numtheory import divisors, factorize, prime_power_decomposition, squarefree_subsets
+from .numtheory import divisors, prime_factors, prime_power_decomposition, squarefree_divisors
 from .report import PASS, SKIP, VerificationReport, fmt_rational
 
 
@@ -98,18 +98,13 @@ def zeta_value_ff(q_power: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def moebius_zeta_product_ff(q: int, m: int, k: int) -> Fraction:
     """Inclusion-exclusion product of zeta values of intermediate fields:
-    prod over squarefree subsets S of the primes of m of
-    zeta(F_{q^(m/prod S)}, -k)^((-1)^|S|).
+    prod over the squarefree divisors d of m of zeta(F_{q^(m/d)}, -k)^mu(d).
 
     Cached: it reads no character, so the characters of one level share it."""
     prime_power_decomposition(q)
     if m < 1 or k < 1:
         raise ValueError("positive m and k required")
-    result = Fraction(1)
-    for subset, sign in squarefree_subsets(factorize(m).primes):
-        z = zeta_value_ff(q ** (m // prod(subset)), k)
-        result *= z if sign == 1 else 1 / z
-    return result
+    return prod(zeta_value_ff(q ** (m // d), k) ** mu for d, mu in squarefree_divisors(m))
 
 
 def equivariant_k_finite_field(q: int, rep, t: int) -> FgAbelianGroup:
@@ -151,7 +146,7 @@ def gcd_order_closed_form(q: int, m_eff: int, k: int) -> int:
 
     Cached, like moebius_zeta_product_ff: it reads no character."""
     big = q ** (k * m_eff) - 1
-    return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in factorize(m_eff).primes))
+    return gcd(big, *(big // (q ** (k * m_eff // p) - 1) for p in prime_factors(m_eff)))
 
 
 def case_label(q: int, chi: CyclicCharacter, k: int) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numtheory import factorize, is_prime, smallest_primitive_root
+from .numtheory import is_prime, prime_factors, smallest_primitive_root
 
 
 # -- dense polynomials over F_p, lowest degree first, no trailing zeros ------
@@ -139,9 +139,9 @@ def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     >>> primitive_polynomial(7, 1)  # x - 3: 3 is the smallest primitive root mod 7
     (4, 1)
     """
-    candidates = _monic_candidates(p, r)  # checks p and r before factorize(n)
+    candidates = _monic_candidates(p, r)  # checks p and r before prime_factors(n)
     n = p**r - 1
-    order_primes = factorize(n).primes
+    order_primes = prime_factors(n)
     g_p = smallest_primitive_root(p) % p
     for m in candidates:
         # (-1)^r m(0) is the norm of x: this integer test rejects all but

@@ -1,5 +1,8 @@
 """Integer plumbing: factorization, totients, squarefree subset enumeration.
 
+A factorization is the plain tuple of its (prime, exponent) pairs, and
+every Moebius sum in the package runs over squarefree_divisors.
+
 Everything here is exact and sized for desk-scale moduli (trial division
 is deliberate; nothing in this package factors anything near cryptographic
 sizes).  Primality and prime-power tests do not factor: is_prime is a
@@ -11,40 +14,18 @@ refused with a ValueError rather than factored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = p_1^e_1 ... p_k^e_k with primes increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"positive integer required, got {self.n}")
-        if prod(p**e for p, e in self.factors) != self.n:
-            raise ValueError("factor list does not multiply to n")
-        ps = [p for p, _ in self.factors]
-        if ps != sorted(set(ps)) or any(e < 1 for _, e in self.factors):
-            raise ValueError("primes must be strictly increasing, exponents >= 1")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-# Factorization is frozen, so every caller may share the cached instance.
 @lru_cache(maxsize=None)
-def factorize(n: int) -> Factorization:
-    """Trial-division factorization; n = 1 gives the empty factor list.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial-division factorization as (prime, exponent) pairs, primes
+    increasing; n = 1 gives the empty tuple.
 
-    >>> factorize(12).factors
+    >>> factorize(12)
     ((2, 2), (3, 1))
-    >>> factorize(1).factors
+    >>> factorize(1)
     ()
     """
     if n < 1:
@@ -62,7 +43,17 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
+
+
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes of n, increasing.
+
+    >>> prime_factors(360)
+    (2, 3, 5)
+    """
+    return tuple(p for p, _ in factorize(n))
 
 
 @lru_cache(maxsize=None)
@@ -71,13 +62,13 @@ def euler_phi(n: int) -> int:
     >>> [euler_phi(n) for n in (1, 6, 12)]
     [1, 2, 4]
     """
-    return prod((p - 1) * p ** (e - 1) for p, e in factorize(n).factors)
+    return prod((p - 1) * p ** (e - 1) for p, e in factorize(n))
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, increasing."""
     ds = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         ds = [d * p**i for d in ds for i in range(e + 1)]
     return sorted(ds)
 
@@ -99,6 +90,16 @@ def squarefree_subsets(primes) -> list[tuple[tuple[int, ...], int]]:
         for combo in itertools.combinations(primes, size):
             out.append((combo, (-1) ** size))
     return out
+
+
+def squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """The pairs (d, mu(d)) for the squarefree divisors d of n, in the
+    order of squarefree_subsets on the primes of n.
+
+    >>> squarefree_divisors(12)
+    [(1, 1), (2, -1), (3, -1), (6, 1)]
+    """
+    return [(prod(subset), sign) for subset, sign in squarefree_subsets(prime_factors(n))]
 
 
 # Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
@@ -181,7 +182,7 @@ def multiplicative_order(a: int, n: int) -> int:
     if n == 1:
         return 1
     order = euler_phi(n)
-    for p, _ in factorize(order).factors:
+    for p in prime_factors(order):
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p
     return order

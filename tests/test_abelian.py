@@ -225,7 +225,7 @@ def elementary_divisor_sum(*groups: FgAbelianGroup) -> FgAbelianGroup:
     exps: dict[int, list[int]] = {}
     for g in groups:
         for d in g.invariant_factors:
-            for p, e in factorize(d).factors:
+            for p, e in factorize(d):
                 exps.setdefault(p, []).append(e)
     columns = [[p**e for e in sorted(lst, reverse=True)] for p, lst in sorted(exps.items())]
     factors = sorted(prod(parts) for parts in itertools.zip_longest(*columns, fillvalue=1))

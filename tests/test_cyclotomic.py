@@ -128,6 +128,16 @@ def test_no_implicit_level_mixing():
     assert z == zeta(6, 2)
     w = (rat(3, 1) - 2 * zeta(3)).raise_level(6)
     assert w == rat(6, 1) - 2 * zeta(6, 2)
+    # every level step up to 60: coefficient i lands on zeta_big^(i big/m)
+    rng = random.Random(24)
+    for big in range(1, 61):
+        for m in divisors(big):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(euler_phi(m))]
+            spread = [0] * big
+            for i, c in enumerate(coeffs):
+                spread[i * (big // m)] = c
+            lifted = CyclotomicNumber(m, coeffs).raise_level(big)
+            assert lifted == CyclotomicNumber.from_coeffs(big, spread), (m, big)
 
 
 def test_galois_conjugate_examples():

@@ -54,7 +54,7 @@ def test_crt_lift_matches_search():
     x = 1 mod N/q, bucketed by x mod q, for every residue mod q and every
     prime-power factor q of every N < 400."""
     for N in range(1, 400):
-        for p, e in factorize(N).factors:
+        for p, e in factorize(N):
             q = p**e
             other = N // q
             by_residue = {x % q: x % N for x in range(1, N + 1) if x % other == 1 % other}

@@ -280,7 +280,7 @@ def test_concentration_in_degree_zero_randomized():
         if gcd(u, mod) != 1:
             continue
         m = multiplicative_order(u, mod) * rng.choice([1, 2, 4, 6])
-        lam = len(factorize(m).factors)
+        lam = len(factorize(m))
         if lam > 4:
             continue
         M = cyclic_fixed_point_mackey(mod, u, m)

@@ -97,10 +97,11 @@ def test_cli_deterministic_output():
     assert any(r["value"] == "1/24" for r in predictions)
 
 
-def run_main(args):
-    """cli.main(args) in this process, as (exit code, stdout, stderr); an
-    exception that escapes main fails the calling test."""
-    out, err = io.StringIO(), io.StringIO()
+def run_main(args, out=None):
+    """cli.main(args) in this process, as (exit code, stdout, stderr), with
+    stdout a fresh StringIO or the given one; an exception that escapes main
+    fails the calling test."""
+    out, err = io.StringIO() if out is None else out, io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(args)
@@ -153,6 +154,48 @@ def test_cli_usage_error_exit_2(tmp_path):
         code, out, err = run_main(bad)
         assert (code, out) == (2, "")
         assert "usage error" in err and name in err and "Traceback" not in err
+
+
+def disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk whose every write raises ENOSPC."""
+
+    write = disk_full
+
+
+class BufferedFullStream(io.StringIO):
+    """A stdout on a full disk that buffers writes and raises on flush."""
+
+    flush = disk_full
+
+
+def test_cli_report_that_cannot_be_written_exits_2():
+    argv = ["ffqlc", "--m-max", "1", "--k-max", "1"]
+    runs = [run_main(argv, out=FullStream()), run_main(argv, out=BufferedFullStream())]
+    if os.path.exists("/dev/full"):
+        runs.append(run_main(["--out", "/dev/full", *argv]))
+    for code, _, err in runs:
+        assert code == 2
+        assert "cannot write the report" in err and "No space left" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_cli_out_of_memory_exits_2(monkeypatch):
+    from qlverify import curves
+
+    def no_memory(self, p, r):
+        raise MemoryError
+
+    monkeypatch.setattr(curves._FieldTables, "__init__", no_memory)
+    curves._tables.cache_clear()  # so the first table is built, and fails, here
+    curves._value_log_histogram.cache_clear()
+    code, out, err = run_main(["curves", "--spec", '{"p":3,"d":2,"f":[0,1]}'])
+    assert (code, out) == (2, "")
+    assert "out of memory" in err and "--max-field-size" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_cli_skip_only_run_counts_its_skips(capsys):

@@ -28,9 +28,11 @@ Since g^((p^r - 1)/(p - 1)) = g_p, class(x) is dlog(f(x)) mod d.
 Encodings use window coordinates: g^i is the base-p number with digits
 (u_i, ..., u_(i+r-1)), where u is the impulse response of m, the minimal
 polynomial of g.  This is an F_p-linear coordinate system in which the
-constant c encodes as c, so adding 1 only bumps digit 0.  The power walk
-extends u by doubling steps over numpy slices, O(p^r * r) work.  The
-tables are int32 whenever p^r < 2^31.
+constant c encodes as c, so adding 1 only bumps digit 0.  As g^M = g_p
+with M = (p^r - 1)/(p - 1), u_(i+M) = g_p u_i: the power walk extends u
+by doubling steps over numpy slices across the fewest F_p^x sheets of M
+terms that hold 2^17 and p terms, and the rest of u is copied from them,
+scaled by a power of g_p.  The tables are int32 whenever p^r < 2^31.
 
 f is then evaluated at every x = g^i by Horner's rule on logs:
 multiplying by x adds i, and adding a nonzero constant is one lookup in
@@ -58,7 +60,7 @@ from operator import mul
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _element, _root_sum, _sum_of_products
 from .gf import primitive_polynomial
 from .numtheory import divisors, is_prime, squarefree_divisors
 from .report import SKIP, VerificationReport, fmt_rational
@@ -140,8 +142,10 @@ class _FieldTables:
     number with digits (u_i, ..., u_(i+r-1)).  This is an F_p-linear
     isomorphism F_(p^r) -> F_p^r that sends the constant c to c, so the
     logs of constants (dlog[c]) and "add 1 = bump digit 0" read the same
-    as in the coefficient basis.  The norm of g is g_p, so
-    dlog[g_p] = n/(p-1) and a log mod p - 1 is a log to the base g_p.
+    as in the coefficient basis.  The norm of g is g_p = g^m with
+    m = n/(p-1), so dlog[g_p] = m, a log mod p - 1 is a log to the base
+    g_p, and u_(i+km) = g_p^k u_i: u is walked over a whole number of
+    these F_p^x sheets and the rest of it is copied, scaled.
 
     enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
     zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
@@ -153,7 +157,19 @@ class _FieldTables:
         self.minpoly = primitive_polynomial(p, r)
         size = p**r
         n = self.n = size - 1
-        u = _impulse_response(self.minpoly, p, n + r - 1)
+        # the walk stops at the least multiple of m = n/(p-1) that is at
+        # least _CHUNK, so a copy pass reads only terms already written, and
+        # at least p, so the table of x -> g_p^k x costs less than the walk;
+        # (-1)^r minpoly(0) is the norm g_p
+        m, length = n // (p - 1), n + r - 1
+        walked = m * -(-max(_CHUNK, p) // m)
+        u = np.empty(length, dtype=np.min_scalar_type(p - 1))
+        _impulse_response(self.minpoly, p, u[:walked])
+        if walked < length:
+            times = (np.arange(p) * pow((-1) ** r * self.minpoly[0], walked // m, p) % p).astype(u.dtype)
+            for start in range(walked, length, _CHUNK):
+                stop = min(start + _CHUNK, length)
+                np.take(times, u[start - walked : stop - walked], out=u[start:stop])
         index = np.int32 if size < 2**31 else np.int64
         enc_pow = np.empty(n, dtype=index)
         dlog = np.full(size, -1, dtype=index)
@@ -177,9 +193,10 @@ class _FieldTables:
         self.enc_pow, self.dlog, self.zech = enc_pow, dlog, zech
 
 
-def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarray:
-    """u_0..u_(length-1) of the recurrence with characteristic polynomial
-    minpoly (monic, degree r) from u_0 = 1, u_1..u_(r-1) = 0, mod p.
+def _impulse_response(minpoly: tuple[int, ...], p: int, u: np.ndarray) -> None:
+    """Fill u with u_0, u_1, ... of the recurrence with characteristic
+    polynomial minpoly (monic, degree r) from u_0 = 1, u_1..u_(r-1) = 0,
+    mod p.
 
     The companion matrix T moves windows, W_(i+1) = W_i T with
     W_i = (u_i..u_(i+r-1)), so column 0 of T^K gives
@@ -187,11 +204,10 @@ def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarr
     K = J + r - 1 appends J terms, each a sum of r products of earlier
     terms; J doubles (T^J squared) until it reaches _CHUNK.  The walk costs
     O(length * r) in numpy and about log2(length) + length/_CHUNK steps.
-    Terms are stored in the smallest dtype that holds p - 1, and summed in
-    the smallest that holds r (p - 1)^2.
+    Terms are summed in the smallest dtype that holds r (p - 1)^2.
     """
-    r = len(minpoly) - 1
-    u = np.zeros(length, dtype=np.min_scalar_type(p - 1))
+    r, length = len(minpoly) - 1, len(u)
+    u[:r] = 0
     u[0] = 1
     companion = np.zeros((r, r), dtype=np.int64)
     companion[1:, :-1] = np.eye(r - 1, dtype=np.int64)
@@ -212,7 +228,6 @@ def _impulse_response(minpoly: tuple[int, ...], p: int, length: int) -> np.ndarr
         have += take
         if step < _CHUNK:
             step_pow, step = step_pow @ step_pow % p, 2 * step
-    return u
 
 
 @lru_cache(maxsize=64)
@@ -367,7 +382,9 @@ def _count_points(cover: KummerCover, r: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedLSeries:
-    """sum c_k t^k up to order B, coefficients in Q(zeta_level)."""
+    """sum c_k t^k up to order B, coefficients in Q(zeta_level).  exp,
+    products and inverses sum each coefficient on integer numerators and
+    canonicalize it once."""
 
     level: int
     order: int
@@ -389,16 +406,16 @@ class TruncatedLSeries:
     @classmethod
     def from_log_sums(cls, level: int, sums) -> "TruncatedLSeries":
         """exp(sum_r sums[r-1] t^r / r): the exponential of a point-count or
-        character-sum series.  Coefficients satisfy n c_n = sum S_r c_(n-r)."""
+        character-sum series.  Coefficients satisfy n c_n = sum S_r c_(n-r),
+        each sum taken on numerators like a coefficient of a product."""
         sums = [s if isinstance(s, CyclotomicNumber) else CyclotomicNumber.rational(level, s) for s in sums]
-        order = len(sums)
+        if any(s.level != level for s in sums):
+            raise ValueError("log sum level mismatch")
         coeffs = [CyclotomicNumber.rational(level, 1)]
-        for n in range(1, order + 1):
-            acc = CyclotomicNumber.rational(level, 0)
-            for r in range(1, n + 1):
-                acc = acc + sums[r - 1] * coeffs[n - r]
-            coeffs.append(acc * Fraction(1, n))
-        return cls(level, order, tuple(coeffs))
+        for n in range(1, len(sums) + 1):
+            acc, den = _sum_of_products(level, zip(sums, coeffs[::-1]))
+            coeffs.append(_element(level, acc, den * n))
+        return cls(level, len(sums), tuple(coeffs))
 
     def log_sums(self) -> list[CyclotomicNumber]:
         """Inverse of from_log_sums: recover S_1..S_B."""
@@ -416,28 +433,20 @@ class TruncatedLSeries:
 
     def __mul__(self, other: "TruncatedLSeries") -> "TruncatedLSeries":
         self._check(other)
-        zero = CyclotomicNumber.rational(self.level, 0)
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedLSeries(self.level, self.order, tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return TruncatedLSeries(self.level, self.order, tuple(
+            _element(self.level, *_sum_of_products(self.level, zip(a[: k + 1], b[k::-1])))
+            for k in range(self.order + 1)))
 
     def inverse(self) -> "TruncatedLSeries":
         c0 = self.coeffs[0]
         if c0.is_zero:
             raise ZeroDivisionError("series with zero constant term")
         inv0 = c0.inverse()
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = CyclotomicNumber.rational(self.level, 0)
-            for r in range(1, n + 1):
-                acc = acc + self.coeffs[r] * out[n - r]
-            out.append(-(inv0 * acc))
+        ratios = [-(c * inv0) for c in self.coeffs[1:]]
+        out = [inv0]  # out_n = sum_r (-c_r / c_0) out_(n-r)
+        for _ in range(self.order):
+            out.append(_element(self.level, *_sum_of_products(self.level, zip(ratios, out[::-1]))))
         return TruncatedLSeries(self.level, self.order, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedLSeries":
@@ -473,11 +482,8 @@ def l_series_kummer(cover: KummerCover, a: int, order: int,
     sums = []
     for r in range(1, order + 1):
         # the class of f(x) is its log mod d
-        s_r = CyclotomicNumber.rational(d, 0)
-        for c, count in enumerate(_residue_histogram_mod(p, r, cover.f, d)):
-            if count:
-                s_r = s_r + count * CyclotomicNumber.zeta(d, a * c)
-        sums.append(s_r)
+        hist = _residue_histogram_mod(p, r, cover.f, d)
+        sums.append(_root_sum(d, ((a * c, count) for c, count in enumerate(hist))))
     return TruncatedLSeries.from_log_sums(d, sums)
 
 
@@ -508,11 +514,8 @@ def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order
     _check_budget(cover, order, max_field_size)
     sums = []
     for r in range(1, order + 1):
-        s_r = CyclotomicNumber.rational(d, 0)
-        for cls, count in enumerate(_intermediate_class_buckets(cover, s, r)):
-            if count:
-                s_r = s_r + count * CyclotomicNumber.zeta(d, (d // s) * (b * cls % s))
-        sums.append(s_r)
+        buckets = _intermediate_class_buckets(cover, s, r)
+        sums.append(_root_sum(d, (((d // s) * (b * cls % s), count) for cls, count in enumerate(buckets))))
     return TruncatedLSeries.from_log_sums(d, sums)
 
 

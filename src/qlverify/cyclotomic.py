@@ -15,6 +15,8 @@ integer numerator vectors, over one denominator den^phi(m).
 One zeta-shift builds both the reduction table of x^i mod Phi_m and the
 columns zeta^i z of the matrix whose cokernel is Z[zeta_m]/(z).  Galois
 conjugates and raise_level are one monomial substitution zeta -> zeta^j.
+A sum of products, such as a coefficient of a product of power series, is
+accumulated on integer numerators and canonicalized once.
 """
 
 from __future__ import annotations
@@ -150,6 +152,30 @@ def _set_canonical(z, m: int, num, den: int) -> "CyclotomicNumber":
 
 def _element(m: int, num, den: int) -> "CyclotomicNumber":
     return _set_canonical(object.__new__(CyclotomicNumber), m, num, den)
+
+
+def _sum_of_products(level: int, pairs) -> tuple[tuple[int, ...], int]:
+    """sum x y over pairs of elements of Q(zeta_level), as a reduced
+    numerator over the lcm of the terms' denominators."""
+    pairs = list(pairs)
+    den = lcm(*(x.den * y.den for x, y in pairs))
+    acc = [0] * (2 * len(pairs[0][0].num) - 1)
+    for x, y in pairs:
+        scale = den // (x.den * y.den)
+        for i, a in enumerate(x.num):
+            if a:
+                a *= scale
+                for k, b in enumerate(y.num, i):
+                    acc[k] += a * b
+    return _reduce(level, acc), den
+
+
+def _root_sum(d: int, terms) -> CyclotomicNumber:
+    """sum count * zeta_d^e over the (e, count) terms, as one element."""
+    vec = [0] * d
+    for e, count in terms:
+        vec[e % d] += count
+    return _element(d, _reduce(d, vec), 1)
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:

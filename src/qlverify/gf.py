@@ -130,7 +130,9 @@ def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     of F_(p^r)^x = (F_p[x]/m)^x with x^(n/(p-1)) = g_p: the tables of
     every degree share the generator g_p of F_p^x, as Conway polynomials
     do (the norm onto F_p^x maps the generators of F_(p^r)^x onto those of
-    F_p^x, so such an m exists).
+    F_p^x, so such an m exists).  The order test x^(n/l) != 1 runs only
+    for the primes l of n prime to p - 1: for l | p - 1 the norm already
+    gives x^(n/l) = g_p^((p-1)/l) != 1.
 
     >>> primitive_polynomial(2, 4)  # x^4 + x + 1
     (1, 1, 0, 0, 1)
@@ -141,7 +143,7 @@ def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     """
     candidates = _monic_candidates(p, r)  # checks p and r before prime_factors(n)
     n = p**r - 1
-    order_primes = prime_factors(n)
+    order_primes = [ell for ell in prime_factors(n) if (p - 1) % ell]
     g_p = smallest_primitive_root(p) % p
     for m in candidates:
         # (-1)^r m(0) is the norm of x: this integer test rejects all but

@@ -27,7 +27,7 @@ from qlverify.cyclotomic import CyclotomicNumber
 from qlverify import curves, gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
 from qlverify.cli import DEFAULT_COVERS, run_curves
-from qlverify.numtheory import divisors, euler_phi, factorize, smallest_primitive_root
+from qlverify.numtheory import divisors, euler_phi, factorize, prime_factors, smallest_primitive_root
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,28 @@ def test_primitive_polynomial_matches_brute_force():
             m = primitive_polynomial(p, r)
             assert m == first_primitive_by_stepping(p, r), (p, r)
             assert is_irreducible(list(m), p)
+
+
+def primitive_polynomial_testing_every_order_prime(p, r):
+    """primitive_polynomial with the order test x^(n/l) != 1 run for every
+    prime l of n = p^r - 1, the primes of p - 1 included."""
+    n = p**r - 1
+    g_p = smallest_primitive_root(p) % p
+    for m in monic_polynomials(p, r):
+        if ((-1) ** r * m[0] % p == g_p and is_irreducible(m, p)
+                and all(gf.poly_pow_mod([0, 1], n // ell, m, p) != [1] for ell in prime_factors(n))):
+            return tuple(m)
+    raise AssertionError("no primitive polynomial")
+
+
+# the 28 fields whose tables the curves-matrix benchmark builds
+CURVES_MATRIX_FIELDS = [(3, r) for r in range(1, 13)] + [(p, r) for p in (5, 7) for r in range(1, 9)]
+
+
+def test_primitive_polynomial_matches_the_every_prime_search():
+    fields = CURVES_MATRIX_FIELDS + [(11, r) for r in range(1, 6)] + [(13, r) for r in range(1, 5)]
+    for p, r in fields:
+        assert primitive_polynomial(p, r) == primitive_polynomial_testing_every_order_prime(p, r), (p, r)
 
 
 def test_encode_decode_roundtrip():
@@ -283,6 +305,25 @@ def test_tables_match_direct_field_arithmetic(p, r):
     assert t.enc_pow.dtype == t.dlog.dtype == t.zech.dtype == np.int32
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_table_walk_with_sheet_copies_matches_the_full_walk(p):
+    """Every F_(p^r) with p^r <= 2 * 10^6: the tables, whose walk stops
+    after one or more F_p^x sheets and copies the rest scaled by a power of
+    g_p, encode g^i as the window of the impulse response walked in full.
+    Fields with more than 2 * _CHUNK elements take the copies."""
+    r = 1
+    while p**r <= 2 * 10**6:
+        t = curves._FieldTables(p, r)
+        u = np.empty(t.n + r - 1, dtype=np.uint8)
+        curves._impulse_response(t.minpoly, p, u)
+        windows = np.zeros(t.n, dtype=np.int64)
+        for j in reversed(range(r)):
+            windows *= p
+            windows += u[j : j + t.n]
+        assert np.array_equal(t.enc_pow, windows), (p, r)
+        r += 1
+
+
 def test_tables_need_no_field_arithmetic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("field arithmetic on the table path")
@@ -413,6 +454,30 @@ def test_series_product_inverse():
     for n in range(-2, 4):
         assert ((s ** n) * s).coeffs == (s ** (n + 1)).coeffs, n
         assert ((s ** n) * (s ** -n)).coeffs == TruncatedLSeries.one(2, 6).coeffs, n
+
+
+def test_from_log_sums_of_nothing_is_the_order_0_series_1():
+    assert TruncatedLSeries.from_log_sums(3, []) == TruncatedLSeries.one(3, 0)
+
+
+def test_from_log_sums_coerces_integers():
+    rational = [CyclotomicNumber.rational(3, c) for c in (2, 0, -5)]
+    assert TruncatedLSeries.from_log_sums(3, [2, 0, -5]) == TruncatedLSeries.from_log_sums(3, rational)
+
+
+def test_series_refuse_mixed_levels():
+    with pytest.raises(ValueError):
+        TruncatedLSeries.from_log_sums(3, [1, CyclotomicNumber.zeta(6)])
+    with pytest.raises(ValueError):
+        TruncatedLSeries.from_log_sums(6, [CyclotomicNumber.zeta(3)])
+    with pytest.raises(ValueError):
+        TruncatedLSeries.one(3, 2) * TruncatedLSeries.one(6, 2)
+
+
+def test_inverse_needs_a_nonzero_constant_term():
+    zero, one = CyclotomicNumber.rational(4, 0), CyclotomicNumber.rational(4, 1)
+    with pytest.raises(ZeroDivisionError):
+        TruncatedLSeries(4, 2, (zero, one, one)).inverse()
 
 
 # ---------------------------------------------------------------------------

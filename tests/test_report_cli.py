@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from qlverify.report import FAIL, PASS, Record, VerificationReport, fmt_rational
 from fractions import Fraction
 
 DIGESTS = Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json"
+WORKLOADS = DIGESTS.with_name("workloads.py")
 
 
 def test_fmt_rational():
@@ -251,6 +253,23 @@ def test_cli_report_matches_the_benchmark_digest(tmp_path, workload, argv):
     expected = json.loads(DIGESTS.read_text())[workload]["*"]
     out = tmp_path / "report.tsv"
     assert cli.main(["--out", str(out), *argv]) == 0
+    assert hashlib.sha256(out.read_text().encode()).hexdigest() == expected
+
+
+def test_cli_curves_report_matches_the_benchmark_digest(tmp_path, monkeypatch):
+    """The curves-matrix report at seed 11, byte for byte, on the specs
+    that benchmarks/workloads.py generates.  The module is loaded from its
+    file, and registered while it runs so that its dataclass can resolve
+    it; digests.json is only read here, never written."""
+    spec = importlib.util.spec_from_file_location("qlverify_bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    specs = tmp_path / "curves-11.json"
+    specs.write_text(json.dumps(workloads.curve_specs(11)))
+    out = tmp_path / "report.tsv"
+    assert cli.main(["--out", str(out), "curves", "--spec", str(specs)]) == 0
+    expected = json.loads(DIGESTS.read_text())["curves-matrix"]["11"]
     assert hashlib.sha256(out.read_text().encode()).hexdigest() == expected
 
 

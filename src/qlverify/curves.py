@@ -60,7 +60,7 @@ from operator import mul
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, _element, _root_sum, _sum_of_products
+from .cyclotomic import CyclotomicNumber, _root_sum, _sum_of_products
 from .gf import primitive_polynomial
 from .numtheory import divisors, is_prime, squarefree_divisors
 from .report import SKIP, VerificationReport, fmt_rational
@@ -398,10 +398,8 @@ class TruncatedLSeries:
 
     @classmethod
     def one(cls, level: int, order: int) -> "TruncatedLSeries":
-        coeffs = [CyclotomicNumber.rational(level, 1)] + [
-            CyclotomicNumber.rational(level, 0) for _ in range(order)
-        ]
-        return cls(level, order, tuple(coeffs))
+        zero = CyclotomicNumber.rational(level, 0)
+        return cls(level, order, (CyclotomicNumber.rational(level, 1),) + (zero,) * order)
 
     @classmethod
     def from_log_sums(cls, level: int, sums) -> "TruncatedLSeries":
@@ -413,8 +411,7 @@ class TruncatedLSeries:
             raise ValueError("log sum level mismatch")
         coeffs = [CyclotomicNumber.rational(level, 1)]
         for n in range(1, len(sums) + 1):
-            acc, den = _sum_of_products(level, zip(sums, coeffs[::-1]))
-            coeffs.append(_element(level, acc, den * n))
+            coeffs.append(_sum_of_products(level, zip(sums, coeffs[::-1]), n))
         return cls(level, len(sums), tuple(coeffs))
 
     def log_sums(self) -> list[CyclotomicNumber]:
@@ -435,7 +432,7 @@ class TruncatedLSeries:
         self._check(other)
         a, b = self.coeffs, other.coeffs
         return TruncatedLSeries(self.level, self.order, tuple(
-            _element(self.level, *_sum_of_products(self.level, zip(a[: k + 1], b[k::-1])))
+            _sum_of_products(self.level, zip(a[: k + 1], b[k::-1]))
             for k in range(self.order + 1)))
 
     def inverse(self) -> "TruncatedLSeries":
@@ -446,7 +443,7 @@ class TruncatedLSeries:
         ratios = [-(c * inv0) for c in self.coeffs[1:]]
         out = [inv0]  # out_n = sum_r (-c_r / c_0) out_(n-r)
         for _ in range(self.order):
-            out.append(_element(self.level, *_sum_of_products(self.level, zip(ratios, out[::-1]))))
+            out.append(_sum_of_products(self.level, zip(ratios, out[::-1])))
         return TruncatedLSeries(self.level, self.order, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedLSeries":
@@ -461,30 +458,32 @@ class TruncatedLSeries:
 # series builders
 
 
-def zeta_series(cover: KummerCover, order: int, level: int = 1,
-                max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> TruncatedLSeries:
-    """exp(sum_r #cover(F_(p^r)) t^r / r) to the given order, exact."""
+def _exp_series(cover: KummerCover, order: int, max_field_size: int, level: int, log_sum) -> TruncatedLSeries:
+    """exp(sum_r log_sum(r) t^r / r) for r = 1..order, at the given level,
+    once the order is checked and F_(p^order) is within the budget."""
     if order < 1:
         raise ValueError("order must be >= 1")
     _check_budget(cover, order, max_field_size)
-    counts = [_count_points(cover, r) for r in range(1, order + 1)]
-    return TruncatedLSeries.from_log_sums(level, counts)
+    return TruncatedLSeries.from_log_sums(level, [log_sum(r) for r in range(1, order + 1)])
+
+
+def zeta_series(cover: KummerCover, order: int, level: int = 1,
+                max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> TruncatedLSeries:
+    """exp(sum_r #cover(F_(p^r)) t^r / r) to the given order, exact."""
+    return _exp_series(cover, order, max_field_size, level, lambda r: _count_points(cover, r))
 
 
 def l_series_kummer(cover: KummerCover, a: int, order: int,
                     max_field_size: int = DEFAULT_MAX_FIELD_SIZE) -> TruncatedLSeries:
     """Exponential character sum series for the character with exponent a,
-    at level d."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    _check_budget(cover, order, max_field_size)
-    p, d = cover.p, cover.d
-    sums = []
-    for r in range(1, order + 1):
-        # the class of f(x) is its log mod d
-        hist = _residue_histogram_mod(p, r, cover.f, d)
-        sums.append(_root_sum(d, ((a * c, count) for c, count in enumerate(hist))))
-    return TruncatedLSeries.from_log_sums(d, sums)
+    at level d; the class of f(x) is its log mod d."""
+    d = cover.d
+
+    def char_sum(r):
+        hist = _residue_histogram_mod(cover.p, r, cover.f, d)
+        return _root_sum(d, ((a * c, count) for c, count in enumerate(hist)))
+
+    return _exp_series(cover, order, max_field_size, d, char_sum)
 
 
 def _intermediate_class_buckets(cover: KummerCover, subgroup_order: int, r: int) -> list[int]:
@@ -511,12 +510,12 @@ def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order
     s, d = subgroup_order, cover.d
     if s < 1 or d % s != 0:
         raise ValueError(f"subgroup order {s} is not a positive divisor of {d}")
-    _check_budget(cover, order, max_field_size)
-    sums = []
-    for r in range(1, order + 1):
+
+    def bucket_sum(r):
         buckets = _intermediate_class_buckets(cover, s, r)
-        sums.append(_root_sum(d, (((d // s) * (b * cls % s), count) for cls, count in enumerate(buckets))))
-    return TruncatedLSeries.from_log_sums(d, sums)
+        return _root_sum(d, (((d // s) * (b * cls % s), count) for cls, count in enumerate(buckets)))
+
+    return _exp_series(cover, order, max_field_size, d, bucket_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ integer numerator vector over one positive denominator, reduced modulo the
 m-th cyclotomic polynomial and normalized so that gcd(num..., den) = 1, with
 zero stored as 0/1.  The representation is canonical, so equality and
 hashing compare plain tuples.  Levels are never mixed implicitly;
-raise_level gives the embedding zeta_m' -> zeta_m^(m/m') for m' | m.
+raise_level gives the embedding zeta_m' -> zeta_m^(m/m') for m' | m.  Other
+modules build elements from integer data through _root_sum and _sum_of_products.
 
-Norms down to Q are computed as products of Galois conjugates, never by
-floating point: the conjugates sigma_j and sigma_(-j) are paired through
-the real element x * sigma_(-1)(x), and the product is accumulated on
-integer numerator vectors, over one denominator den^phi(m).
+Norms and inverses share one product of Galois conjugates, on integer
+numerator vectors: with y = x * sigma_(-1)(x) and Q the product of sigma_j(y)
+over the units 2 <= j <= m/2, the norm is y Q / den^phi(m) and
+x^(-1) = sigma_(-1)(x) Q / N(x).
 
 One zeta-shift builds both the reduction table of x^i mod Phi_m and the
 columns zeta^i z of the matrix whose cokernel is Z[zeta_m]/(z).  Galois
@@ -27,7 +28,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import FgAbelianGroup, IntMatrix, cokernel
-from .gf import _trim
 from .numtheory import divisors, euler_phi
 
 
@@ -154,28 +154,45 @@ def _element(m: int, num, den: int) -> "CyclotomicNumber":
     return _set_canonical(object.__new__(CyclotomicNumber), m, num, den)
 
 
-def _sum_of_products(level: int, pairs) -> tuple[tuple[int, ...], int]:
-    """sum x y over pairs of elements of Q(zeta_level), as a reduced
-    numerator over the lcm of the terms' denominators."""
+def _sum_of_products(level: int, pairs, den: int = 1) -> "CyclotomicNumber":
+    """sum x y over pairs of elements of Q(zeta_level), divided by den:
+    accumulated on numerators over the lcm of the terms' denominators."""
     pairs = list(pairs)
-    den = lcm(*(x.den * y.den for x, y in pairs))
+    common = lcm(*(x.den * y.den for x, y in pairs))
     acc = [0] * (2 * len(pairs[0][0].num) - 1)
     for x, y in pairs:
-        scale = den // (x.den * y.den)
+        scale = common // (x.den * y.den)
         for i, a in enumerate(x.num):
             if a:
                 a *= scale
                 for k, b in enumerate(y.num, i):
                     acc[k] += a * b
-    return _reduce(level, acc), den
+    return _element(level, _reduce(level, acc), common * den)
 
 
-def _root_sum(d: int, terms) -> CyclotomicNumber:
-    """sum count * zeta_d^e over the (e, count) terms, as one element."""
+def _root_sum(d: int, terms, den: int = 1) -> "CyclotomicNumber":
+    """sum count * zeta_d^e / den over integer (e, count) terms, as one element."""
     vec = [0] * d
     for e, count in terms:
         vec[e % d] += count
-    return _element(d, _reduce(d, vec), 1)
+    return _element(d, _reduce(d, vec), den)
+
+
+def _conjugate_product(m: int, num):
+    """For x = sum num[i] zeta_m^i, m > 2: sigma_(-1)(x), the product Q of
+    sigma_j(y) over the units 2 <= j <= m/2 with y = x sigma_(-1)(x) (None
+    when phi(m) = 2), and the integer norm N = y Q: phi(m)/2 products."""
+    bar = _conjugate(m, num, -1)
+    y = _reduce(m, _poly_mul(num, bar))
+    rest = None
+    for j in range(2, m // 2 + 1):
+        if gcd(j, m) == 1:
+            conj = _conjugate(m, y, j)
+            rest = conj if rest is None else _reduce(m, _poly_mul(rest, conj))
+    product = y if rest is None else _reduce(m, _poly_mul(y, rest))
+    if any(product[1:]):
+        raise ValueError(f"the conjugate product of {num} at level {m} is not rational")
+    return bar, rest, product[0]
 
 
 def _over_common_denominator(coeffs) -> tuple[list[int], int]:
@@ -217,7 +234,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        return _element(m, _reduce(m, [0] * (power % m) + [1]), 1)
+        return _root_sum(m, ((power, 1),))
 
     # -- ring structure -----------------------------------------------------
 
@@ -248,8 +265,6 @@ class CyclotomicNumber:
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        if isinstance(other, int):  # n - x, as in 1 - zeta^a q^k: one element
-            return _element(self.level, [other * self.den - self.num[0]] + [-a for a in self.num[1:]], self.den)
         return (-self) + other
 
     def __mul__(self, other):
@@ -264,31 +279,21 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_m.
+        """Multiplicative inverse from the conjugate product of norm_to_Q.
 
-        Fraction-free: each remainder is a pseudo-remainder over Z, and each
-        (remainder, cofactor) pair is divided by its common content.
+        With P = sigma_(-1)(x) Q the product of the conjugates sigma_j(x),
+        j != 1, x P is the integer norm N, so (num/den)^(-1) = den P / N.
+        For m > 2 the field is totally complex, so N = prod |sigma_j(x)|^2
+        over j <= m/2 is positive.
         """
         if self.is_zero:
             raise ZeroDivisionError("cyclotomic division by zero")
-        # invariant: r_k = s_k * num (mod Phi_m) with integer r_k, s_k; Phi_m
-        # is irreducible and deg(num) < deg(Phi_m), so the remainders end in
-        # a nonzero constant
-        m = self.level
-        r0, s0 = list(cyclotomic_polynomial(m)), [0]
-        r1, s1 = _trim(list(self.num)), [1]
-        while len(r1) > 1:
-            while len(r0) >= len(r1):
-                g = gcd(r0[-1], r1[-1])
-                lead, c, shift = r1[-1] // g, r0[-1] // g, len(r0) - len(r1)
-                r0 = _trim(_scaled_sub(r0, lead, c, r1, shift))
-                s0 = _scaled_sub(s0, lead, c, s1, shift)
-            g = gcd(*r0, *s0)
-            r0, r1 = r1, [x // g for x in r0]
-            s0, s1 = s1, [x // g for x in s0]
-        c = r1[0]
-        scale = self.den if c > 0 else -self.den
-        return _element(m, _reduce(m, [x * scale for x in s1]), abs(c))
+        m, num = self.level, self.num
+        if m <= 2:  # Q(zeta_m) = Q
+            return _element(m, (self.den if num[0] > 0 else -self.den,), abs(num[0]))
+        bar, rest, norm = _conjugate_product(m, num)
+        P = bar if rest is None else _reduce(m, _poly_mul(bar, rest))
+        return _element(m, [c * self.den for c in P], norm)
 
     # -- predicates and views ------------------------------------------------
 
@@ -343,12 +348,10 @@ class CyclotomicNumber:
     def norm_to_Q(self) -> Fraction:
         """Product of all Galois conjugates; lands in Q.
 
-        For m > 2 the units j and -j mod m pair up, so with the real element
-        y = x * sigma_(-1)(x) the norm is the product of sigma_j(y) over the
-        phi(m)/2 units j <= m/2: phi(m)/2 multiplications.  They multiply
-        integer numerator vectors, with no gcd on the way, and divide by
-        den^phi(m) once at the end.  A product with an irrational part
-        raises ValueError.
+        For m > 2 the units j and -j mod m pair up through the real element
+        y = x * sigma_(-1)(x): phi(m)/2 products of integer numerator
+        vectors, divided by den^phi(m) once (_conjugate_product).  A product
+        with an irrational part raises ValueError.
 
         >>> (1 - 2 * CyclotomicNumber.zeta(3)).norm_to_Q()
         Fraction(7, 1)
@@ -360,14 +363,7 @@ class CyclotomicNumber:
         m, num = self.level, self.num
         if m <= 2:  # Q(zeta_m) = Q: x is its own norm
             return Fraction(num[0], self.den)
-        y = _reduce(m, _poly_mul(num, _conjugate(m, num, -1)))
-        product = y
-        for j in range(2, m // 2 + 1):
-            if gcd(j, m) == 1:
-                product = _reduce(m, _poly_mul(product, _conjugate(m, y, j)))
-        if any(product[1:]):
-            raise ValueError(f"the conjugate product of {self} is not rational")
-        return Fraction(product[0], self.den ** len(num))  # len(num) = phi(m)
+        return Fraction(_conjugate_product(m, num)[2], self.den ** len(num))  # len(num) = phi(m)
 
     def raise_level(self, m_new: int) -> "CyclotomicNumber":
         """Embed into Q(zeta_m_new) along zeta_m -> zeta_m_new^(m_new/m)."""
@@ -401,14 +397,3 @@ def quotient_by_principal(z: CyclotomicNumber) -> FgAbelianGroup:
         raise ZeroDivisionError("quotient by (0) is infinite")
     return cokernel(multiplication_matrix(z).data)
 
-
-# -- low-level polynomial helpers used by inverse() ---------------------------
-
-
-def _scaled_sub(a, lead, c, b, shift):
-    """lead * a - c * x^shift * b for integer polynomials a, b."""
-    out = [lead * x for x in a]
-    out += [0] * (len(b) + shift - len(out))
-    for j, y in enumerate(b, shift):
-        out[j] -= c * y
-    return out

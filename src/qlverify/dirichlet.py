@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm, prod
 
-from .cyclotomic import CyclotomicNumber, _element, _reduce
+from .cyclotomic import CyclotomicNumber, _root_sum
 from .numtheory import divisors, euler_phi, factorize, smallest_primitive_root, squarefree_divisors
 from .report import PREDICTION, VerificationReport, fmt_rational
 
@@ -273,7 +273,7 @@ def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
             x *= a
     weights, den = _bernoulli_weights(k, f)
     vec = [sum(w * s for w, s in zip(weights, row)) for row in power_sums]
-    return _element(n, _reduce(n, vec), den * f)
+    return _root_sum(n, enumerate(vec), den * f)
 
 
 @lru_cache(maxsize=None)

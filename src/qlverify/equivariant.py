@@ -147,11 +147,9 @@ def cyclic_fixed_point_mackey(mod: int, u: int, m: int) -> CyclicMackeyData:
         raise ValueError("modulus must be positive")
     if gcd(u, mod) != 1:
         raise ValueError(f"{u} is not a unit mod {mod}")
-    if pow(u, m, mod) != 1:
+    if pow(u, m, mod) != 1 % mod:
         raise ValueError(f"u^m != 1 (ord(u) = {multiplicative_order(u, mod)} does not divide {m})")
-    return CyclicMackeyData(
-        m, {d: gcd(pow(u, m // d, mod) - 1, mod) if mod > 1 else 1 for d in divisors(m)}
-    )
+    return CyclicMackeyData(m, {d: gcd(pow(u, m // d, mod) - 1, mod) for d in divisors(m)})
 
 
 def cyclic_cech_complex(mod: int, subgroup_gens) -> BoundedComplex:

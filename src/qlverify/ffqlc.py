@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .abelian import FgAbelianGroup
-from .cyclotomic import CyclotomicNumber, quotient_by_principal
+from .cyclotomic import CyclotomicNumber, _root_sum, quotient_by_principal
 from .equivariant import CyclicMackeyData, bredon_cohomology
 from .numtheory import divisors, prime_factors, prime_power_decomposition, squarefree_divisors
 from .report import PASS, SKIP, VerificationReport, fmt_rational
@@ -80,14 +80,18 @@ def k_mackey_finite_field(q: int, m: int, t: int) -> CyclicMackeyData:
     return CyclicMackeyData(m, {d: q ** (n * m // d) - 1 for d in divisors(m)})
 
 
+def _euler_factor(q: int, chi: CyclicCharacter, k: int) -> CyclotomicNumber:
+    """1 - zeta^a q^k at the primitive level m' of chi, built as one element."""
+    prim = chi.primitivize()
+    return _root_sum(prim.m, ((0, 1), (prim.a, -q**k)))
+
+
 def artin_l_value_ff(q: int, chi: CyclicCharacter, k: int) -> CyclotomicNumber:
     """L(F_q, chi, -k) = 1/(1 - zeta^a q^k), at the primitive level of chi."""
     prime_power_decomposition(q)
     if k < 1:
         raise ValueError("positive k required")
-    prim = chi.primitivize()
-    denom = 1 - CyclotomicNumber.zeta(prim.m, prim.a) * q**k
-    return denom.inverse()
+    return _euler_factor(q, chi, k).inverse()
 
 
 def zeta_value_ff(q_power: int, k: int) -> Fraction:
@@ -192,7 +196,7 @@ def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> Verification
     rep.check(case, "norm_vs_k_ratio", "conjugate_product|signed_pi_ratio",
               norm_l, ratio, render=fmt_rational)
 
-    structural = quotient_by_principal(1 - CyclotomicNumber.zeta(prim.m, prim.a) * q**k)
+    structural = quotient_by_principal(_euler_factor(q, chi, k))
     rep.check(case, "pi_odd_structure", "bredon_H0|cyclotomic_quotient",
               pi_odd, structural)
 
@@ -226,8 +230,7 @@ def verify_induced_ff(q: int, rep_spec: InducedRepFF, k: int) -> VerificationRep
         norm_l *= artin_l_value_ff(base, chi, k).norm_to_Q() ** mult
         if chi.is_trivial:
             trivial_count += mult
-        prim = chi.primitivize()
-        pieces += [quotient_by_principal(1 - CyclotomicNumber.zeta(prim.m, prim.a) * base**k)] * mult
+        pieces += [quotient_by_principal(_euler_factor(base, chi, k))] * mult
     structural = FgAbelianGroup.trivial().direct_sum(*pieces)
 
     pi_odd = equivariant_k_finite_field(q, rep_spec, 2 * k - 1)

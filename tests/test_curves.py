@@ -195,6 +195,19 @@ def test_budget_guard():
         count_points(KummerCover(7, 1, (0, 1)), 12)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_every_series_builder_rejects_a_nonpositive_order(order):
+    cover = KummerCover(5, 4, (0, 1))
+    builders = (
+        lambda: zeta_series(cover, order),
+        lambda: l_series_kummer(cover, 1, order),
+        lambda: l_series_intermediate(cover, 2, 1, order),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            build()
+
+
 def test_budget_is_not_part_of_the_cache_key():
     _tables.cache_clear()
     _value_log_histogram.cache_clear()

@@ -6,6 +6,8 @@ import pytest
 from qlverify.abelian import cokernel
 from qlverify.cyclotomic import (
     CyclotomicNumber,
+    _root_sum,
+    _sum_of_products,
     cyclotomic_polynomial,
     multiplication_matrix,
     quotient_by_principal,
@@ -253,6 +255,46 @@ def test_norm_refuses_an_irrational_conjugate_product(monkeypatch):
     monkeypatch.setattr(cyc, "_conjugate", lambda m, num, j: tuple(num))
     with pytest.raises(ValueError):
         zeta(5).norm_to_Q()
+
+
+def test_inverse_and_norm_sweep_every_level():
+    # every level 1..60, the phi(m) = 2 levels 3, 4 and 6 among them, with
+    # negative rationals at levels 1 and 2: the inverse from the conjugate
+    # product is two-sided, inverts the norm, and is stored canonically
+    rng = random.Random(26)
+    for m in range(1, 61):
+        phi = euler_phi(m)
+        dense = CyclotomicNumber(m, [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(phi)])
+        cases = [rat(m, Fraction(-3, 7)), rat(m, -5), rat(m, Fraction(4, 9)), dense]
+        for z in cases:
+            if z.is_zero:
+                continue
+            inv = z.inverse()
+            assert z * inv == rat(m, 1) and inv * z == rat(m, 1), (m, z)
+            assert z.norm_to_Q() * inv.norm_to_Q() == 1, (m, z)
+            assert len(inv.num) == phi and inv.den > 0 and gcd(*inv.num, inv.den) == 1, (m, z)
+            assert CyclotomicNumber(m, inv.coeffs) == inv
+
+
+def test_root_sum_and_sum_of_products_match_ring_arithmetic():
+    # the constructors from integer data against sums of products of
+    # elements; each power of zeta is reduced by from_coeffs, not _root_sum
+    rng = random.Random(27)
+    for d in range(1, 25):
+        one = rat(d, 1)
+        for _ in range(4):
+            terms = [(rng.randint(-2 * d, 2 * d), rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))]
+            den = rng.randint(1, 12)
+            expected = rat(d, 0)
+            for e, count in terms:
+                expected = expected + count * CyclotomicNumber.from_coeffs(d, [0] * (e % d) + [1])
+            assert _root_sum(d, terms, den) == expected * Fraction(1, den), (d, terms, den)
+            pairs = [(_root_sum(d, terms[:i + 1], den), expected * Fraction(i, 5) + one)
+                     for i in range(len(terms))]
+            total = rat(d, 0)
+            for x, y in pairs:
+                total = total + x * y
+            assert _sum_of_products(d, pairs, den) == total * Fraction(1, den), (d, terms, den)
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,19 @@ def test_cyclic_fixed_point_orders_match_enumeration_oracle():
 def test_cyclic_fixed_point_rejects_bad_input():
     with pytest.raises(ValueError):
         cyclic_fixed_point_mackey(10, 2, 4)  # 2 not a unit mod 10
-    with pytest.raises(ValueError):
-        cyclic_fixed_point_mackey(7, 3, 2)  # ord(3) = 6 does not divide 2
+    with pytest.raises(ValueError, match=r"^u\^m != 1 \(ord\(u\) = 6 does not divide 2\)$"):
+        cyclic_fixed_point_mackey(7, 3, 2)
+
+
+def test_cyclic_fixed_point_modulus_one_is_the_zero_datum():
+    # every u is a unit of Z/1 and u^m = 1 there: all orders are 1, every
+    # Bredon group vanishes, and so does the H^0 oracle
+    for u, m in ((0, 6), (1, 6), (5, 12), (3, 30), (2, 1)):
+        M = cyclic_fixed_point_mackey(1, u, m)
+        assert dict(M.orders) == {d: 1 for d in divisors(m)}
+        for s in range(-len(factorize(m)), 1):
+            assert bredon_cohomology(M, s) == FgAbelianGroup.trivial(), (u, m, s)
+        assert h0_fixed_point_oracle(M) == FgAbelianGroup.trivial()
 
 
 def test_q_power_subgroup_structure():

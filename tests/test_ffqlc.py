@@ -11,6 +11,7 @@ from qlverify.equivariant import cyclic_fixed_point_mackey
 from qlverify.ffqlc import (
     CyclicCharacter,
     InducedRepFF,
+    _euler_factor,
     artin_l_value_ff,
     equivariant_k_finite_field,
     gcd_order_closed_form,
@@ -318,3 +319,15 @@ def test_run_memo_lives_for_one_run(monkeypatch):
     assert {"ffqlc q=3 m=6 a=0 k=1", "ffqlc q=3 m=4 a=2 k=2"} <= failing  # lifts from m' = 1, 2
     monkeypatch.undo()
     assert run_ffqlc([3], 6, 2).ok
+
+
+def test_euler_factor_matches_the_ring_expression():
+    # every (q, m, a, k) of the ffqlc-matrix benchmark workload
+    for q in (2, 3, 5, 7):
+        for m in range(1, 13):
+            for a in range(m):
+                chi = CyclicCharacter(m, a)
+                prim = chi.primitivize()
+                for k in range(1, 7):
+                    expected = 1 - CyclotomicNumber.zeta(prim.m, prim.a) * q**k
+                    assert _euler_factor(q, chi, k) == expected, (q, m, a, k)

@@ -523,67 +523,60 @@ def l_series_intermediate(cover: KummerCover, subgroup_order: int, b: int, order
 
 
 def rational_reconstruction(series: TruncatedLSeries, max_deg: int):
-    """Minimal-order linear recurrence fit over Q(zeta_level), by exact
-    Gaussian elimination.  Returns (num, den) coefficient tuples with
-    den(0) = 1 reproducing every coefficient, or raises InsufficientOrder."""
+    """Padé fit of a truncated series: (num, den) coefficient tuples with
+    deg num, deg den <= max_deg and den(0) = 1 reproducing every
+    coefficient, or InsufficientOrder.
+
+    The extended Euclidean algorithm on t^(B+1) and the series S stops at
+    the first remainder r of degree <= max_deg, with r = v S mod t^(B+1).
+    As B >= 2 max_deg + 2, every pair within the degree bounds is a
+    polynomial multiple of (r, v) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.9), so a fit exists exactly when deg v <= max_deg
+    and v(0) != 0, and it is (r, v) / v(0).
+
+    zeta(G_m/F_3) = (1 - t)/(1 - 3t):
+
+    >>> s = TruncatedLSeries.from_log_sums(1, [3**r - 1 for r in range(1, 7)])
+    >>> num, den = rational_reconstruction(s, 2)
+    >>> [str(c) for c in num], [str(c) for c in den]
+    (['1', '-1'], ['1', '-3'])
+    """
     B = series.order
     if B < 2 * max_deg + 2:
         raise ValueError(f"order {B} too small for degree bound {max_deg}")
     level = series.level
-    c = series.coeffs
-    zero = CyclotomicNumber.rational(level, 0)
-    for k in range(max_deg + 1):
-        # unknowns d_1..d_k; equations sum_j d_j c_(n-j) = -c_n, max_deg < n <= B
-        rows = []
-        rhs = []
-        for n in range(max_deg + 1, B + 1):
-            rows.append([c[n - j] if n - j >= 0 else zero for j in range(1, k + 1)])
-            rhs.append(-c[n])
-        sol = _solve_field(rows, rhs, level)
-        if sol is None:
-            continue
-        den = [CyclotomicNumber.rational(level, 1)] + sol
-        num = []
-        for n in range(max_deg + 1):
-            acc = zero
-            for j, dj in enumerate(den):
-                if n - j >= 0:
-                    acc = acc + dj * c[n - j]
-            num.append(acc)
-        while len(num) > 1 and num[-1].is_zero:
-            num.pop()
-        while len(den) > 1 and den[-1].is_zero:
-            den.pop()
-        return tuple(num), tuple(den)
-    raise InsufficientOrder(f"no recurrence of order <= {max_deg} fits")
+    zero, one = CyclotomicNumber.rational(level, 0), CyclotomicNumber.rational(level, 1)
+    # remainders r_i = s_i t^(B+1) + v_i S, as coefficient lists without
+    # trailing zeros, lowest degree first
+    r0, r1 = [zero] * (B + 1) + [one], _trimmed(series.coeffs)
+    v0, v1 = [], [one]
+    while len(r1) > max_deg + 1:
+        m, inv = len(r1) - 1, r1[-1].inverse()
+        q = [zero] * (len(r0) - m)
+        for i in reversed(range(len(q))):  # long division: q[i] is still 0 here
+            q[i] = _less_product(level, r0, q, r1, i + m) * inv
+        r0, r1 = r1, _trimmed(_less_product(level, r0, q, r1, k) for k in range(m))
+        v0, v1 = v1, [_less_product(level, v0, q, v1, k) for k in range(len(q) + len(v1) - 1)]
+    if len(v1) > max_deg + 1 or v1[0].is_zero:
+        raise InsufficientOrder(f"no recurrence of order <= {max_deg} fits")
+    scale = v1[0].inverse()
+    return tuple(c * scale for c in r1) or (zero,), tuple(c * scale for c in v1)
 
 
-def _solve_field(rows, rhs, level):
-    """Solve a linear system over Q(zeta_level); None if inconsistent.
-    Deterministic Gaussian elimination; free variables are set to zero."""
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivot_row_of: dict[int, int] = {}
-    rank = 0
-    for col in range(k):
-        piv = next((i for i in range(rank, m) if not aug[i][col].is_zero), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col].inverse()
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(m):
-            if i != rank and not aug[i][col].is_zero:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[rank])]
-        pivot_row_of[col] = rank
-        rank += 1
-    for i in range(rank, m):
-        if not aug[i][k].is_zero:
-            return None
-    zero = CyclotomicNumber.rational(level, 0)
-    return [aug[pivot_row_of[c]][k] if c in pivot_row_of else zero for c in range(k)]
+def _trimmed(coeffs) -> list[CyclotomicNumber]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return coeffs
+
+
+def _less_product(level: int, c, q, w, k: int) -> CyclotomicNumber:
+    """Coefficient k of c - q w, for coefficient lists lowest degree first,
+    as one sum of products."""
+    pairs = [(-x, w[k - j]) for j, x in enumerate(q) if 0 <= k - j < len(w)]
+    if k < len(c):
+        pairs.append((c[k], CyclotomicNumber.rational(level, 1)))
+    return _sum_of_products(level, pairs)
 
 
 def evaluate_rational(num, den, point) -> CyclotomicNumber:
@@ -671,26 +664,29 @@ def verify_l_identities(cover: KummerCover, order: int | None = None,
               primitive_product.coeffs, moebius.coeffs, render=_series_str)
 
     # special values: norm of the primitive L-value against the alternating
-    # product of quotient zeta values, via rational reconstruction
+    # product of quotient zeta values, each series fitted once
     max_deg = cover.f_degree() + 2
-
-    def value(series, n):
-        return l_special_value_curve(*rational_reconstruction(series, max_deg), p, n)
+    skip = None
+    if B < 2 * max_deg + 2:
+        skip = f"order B={B} below 2*{max_deg}+2, the minimum for degree bound {max_deg}"
+    else:
+        try:
+            l_fit = rational_reconstruction(L[1 % d], max_deg)
+            zeta_fits = [(rational_reconstruction(z, max_deg), mu) for z, mu in quotient_zetas]
+        except InsufficientOrder:
+            skip = f"no recurrence of order <= {max_deg} at B={B}"
 
     for n_val in (1, 2):
         quantity = f"special_value_norm n={n_val}"
-        if B < 2 * max_deg + 2:
-            rep.add(case, quantity, "rational_reconstruction",
-                    f"order B={B} below 2*{max_deg}+2, the minimum for degree bound {max_deg}", SKIP)
+        if skip:
+            rep.add(case, quantity, "rational_reconstruction", skip, SKIP)
             continue
         try:
-            lhs_value = value(L[1 % d], n_val).norm_to_Q()
-            rhs_value = prod(value(z, n_val).as_rational() ** mu for z, mu in quotient_zetas)
+            lhs_value = l_special_value_curve(*l_fit, p, n_val).norm_to_Q()
+            rhs_value = prod(l_special_value_curve(*fit, p, n_val).as_rational() ** mu
+                             for fit, mu in zeta_fits)
             rep.check(case, quantity, "norm_of_L_value|zeta_value_alternating",
                       lhs_value, rhs_value, render=fmt_rational)
-        except InsufficientOrder:
-            rep.add(case, quantity, "rational_reconstruction",
-                    f"no recurrence of order <= {max_deg} at B={B}", SKIP)
         except PoleError:
             rep.add(case, quantity, "rational_reconstruction", "pole at evaluation point", SKIP)
     return rep

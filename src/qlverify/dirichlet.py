@@ -22,11 +22,12 @@ Each pure per-field and per-character value is computed once per process
 (lru_cache), keyed as follows: the closure check of a subgroup on the
 reduced (N, H), the characters with kernel H on (N, H), a subgroup-chain
 step on (N, H, S), a Dedekind zeta value on (N, H, s), the integer
-Bernoulli weights on (k, f), and the array of chi(a) exponents by residue
-on the character.  That array is built only for the primitive characters
-whose values generalized_bernoulli sums; kernels are read through
-value_exponent, so listing all phi(N) characters of a large modulus builds
-none.  An invalid H raises on every call, since no exception is cached.
+values den f^k B_k(a/f) of the residues a = 1..f on (k, f), and the
+array of chi(a) exponents by residue on the character.  That array is
+built only for the primitive characters whose values generalized_bernoulli
+sums; kernels are read through value_exponent, so listing all phi(N)
+characters of a large modulus builds none.  An invalid H raises on every
+call, since no exception is cached.
 
 Residues are kept in [0, N); for N = 1 the unit group is the single
 residue 0, which keeps every formula degenerate-safe.
@@ -221,12 +222,20 @@ def bernoulli_polynomial(k: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_weights(k: int, f: int) -> tuple[tuple[int, ...], int]:
-    """Integers w_i and den with w_i / den = c_i f^(k-i), c_i the
-    coefficients of B_k(x)."""
+def _bernoulli_values(k: int, f: int) -> tuple[tuple[int, ...], int]:
+    """The integers den f^k B_k(a/f) = sum_i w_i a^i for a = 1..f, each by
+    Horner's rule, and den: w_i / den = c_i f^(k-i), c_i the coefficients
+    of B_k(x)."""
     weights = [c * f ** (k - i) for i, c in enumerate(bernoulli_polynomial(k))]
     den = lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (den // w.denominator) for w in weights), den
+    weights = [w.numerator * (den // w.denominator) for w in reversed(weights)]
+    values = []
+    for a in range(1, f + 1):
+        acc = 0
+        for w in weights:
+            acc = acc * a + w
+        values.append(acc)
+    return tuple(values), den
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +255,10 @@ def _residue_exponents(chi: DirichletCharacter) -> array:
 def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     """B_(k,chi) = f^(k-1) sum_(a=1..f) chi(a) B_k(a/f) for primitive chi mod f.
 
-    Summed on integers: with B_k(x) = sum_i c_i x^i,
-    f^(k-1) B_k(a/f) = (1/f) sum_i c_i f^(k-i) a^i, so residues sharing the
-    exponent e of chi(a) = zeta^e contribute only through their power sums
-    sum a^i, i <= k.
+    One sum of roots of unity on integers: with chi(a) = zeta^e and the
+    residue values den f^k B_k(a/f) of _bernoulli_values, residue a adds
+    its value to the coefficient of zeta^e, and the sum is divided by
+    den f once.
 
     >>> generalized_bernoulli(DirichletCharacter(5, (2,)), 2).as_rational()
     Fraction(4, 5)
@@ -262,18 +271,9 @@ def generalized_bernoulli(chi: DirichletCharacter, k: int) -> CyclotomicNumber:
     cond, _ = conductor_and_primitivize(chi)
     if cond != f:
         raise ValueError("primitive character required")
-    n = chi.order
-    power_sums = [[0] * (k + 1) for _ in range(n)]
-    for a, e in enumerate(_residue_exponents(chi), 1):
-        if e < 0:
-            continue
-        row, x = power_sums[e], 1
-        for i in range(k + 1):
-            row[i] += x
-            x *= a
-    weights, den = _bernoulli_weights(k, f)
-    vec = [sum(w * s for w, s in zip(weights, row)) for row in power_sums]
-    return _root_sum(n, enumerate(vec), den * f)
+    values, den = _bernoulli_values(k, f)
+    return _root_sum(chi.order, ((e, v) for e, v in zip(_residue_exponents(chi), values) if e >= 0),
+                     den * f)
 
 
 @lru_cache(maxsize=None)
@@ -360,10 +360,7 @@ def _dedekind_zeta(N: int, H: frozenset[int], s: int) -> Fraction:
         raise ValueError("k >= 2 required (the trivial character hits the excluded k = 1)")
     values = [dirichlet_l_value(chi, s) for chi in all_characters(N) if H <= chi.kernel]
     level = lcm(*(v.level for v in values))
-    total = CyclotomicNumber.rational(level, 1)
-    for v in values:
-        total = total * v.raise_level(level)
-    return total.as_rational()
+    return prod(v.raise_level(level) for v in values).as_rational()
 
 
 @lru_cache(maxsize=None)

@@ -124,6 +124,7 @@ def equivariant_k_finite_field(q: int, rep, t: int) -> FgAbelianGroup:
     >>> print(equivariant_k_finite_field(2, InducedRepFF(4, ((2, 1, 2),)), 1))
     Z/5 x Z/5
     """
+    prime_power_decomposition(q)
     if t < 1:
         raise ValueError("degree must be >= 1 (the degree-0 free part is unsupported)")
     if isinstance(rep, InducedRepFF):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from naive_field import frobenius_class, naive_base_count, naive_char_sum, naive_cover_count
+from naive_series import naive_reconstruction
 from qlverify.curves import (
     DEFAULT_MAX_FIELD_SIZE,
     EnumerationBudgetExceeded,
@@ -27,7 +28,9 @@ from qlverify.cyclotomic import CyclotomicNumber
 from qlverify import curves, gf
 from qlverify.gf import FieldExt, default_modulus, is_irreducible, primitive_polynomial
 from qlverify.cli import DEFAULT_COVERS, run_curves
-from qlverify.numtheory import divisors, euler_phi, factorize, prime_factors, smallest_primitive_root
+from qlverify.numtheory import (
+    divisors, euler_phi, factorize, prime_factors, smallest_primitive_root, squarefree_divisors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +533,74 @@ def test_reconstruction_insufficient_order():
         rational_reconstruction(s, 3)
     with pytest.raises(ValueError):
         rational_reconstruction(s, 6)  # order precondition 2*6+2 > 10
+
+
+def _random_element(rng, m):
+    """An element of Q(zeta_m) with small, partly non-integral coefficients;
+    zero one time in four."""
+    if rng.random() < 0.25:
+        return CyclotomicNumber.rational(m, 0)
+    return CyclotomicNumber(m, [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+                                for _ in range(euler_phi(m))])
+
+
+def _random_series(rng, m, order, max_deg):
+    """A truncated series at level m: one time in five with random
+    coefficients, else the expansion of num/den with both degrees up to
+    max_deg + 1, so that some exceed the bound."""
+    if rng.random() < 0.2:
+        return TruncatedLSeries(m, order, tuple(_random_element(rng, m) for _ in range(order + 1)))
+    zero = CyclotomicNumber.rational(m, 0)
+
+    def padded(deg, nonzero_constant=False):
+        coeffs = [_random_element(rng, m) for _ in range(deg + 1)]
+        while nonzero_constant and coeffs[0].is_zero:
+            coeffs[0] = _random_element(rng, m)
+        return TruncatedLSeries(m, order, tuple(coeffs[: order + 1]) + (zero,) * (order - deg))
+
+    num = padded(rng.randint(0, max_deg + 1))
+    return num * padded(rng.randint(0, max_deg + 1), nonzero_constant=True).inverse()
+
+
+def _fit_or_insufficient(fit, *args):
+    try:
+        return fit(*args)
+    except InsufficientOrder:
+        return InsufficientOrder
+
+
+def test_reconstruction_matches_the_gauss_jordan_oracle():
+    """The extended-Euclid fit against the per-degree Gauss-Jordan solves of
+    naive_series, on levels 1..12: the same (num, den), or InsufficientOrder
+    from both."""
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(250):
+        m = rng.randint(1, 12)
+        max_deg = rng.randint(0, 4)
+        order = rng.randint(2 * max_deg + 2, 2 * max_deg + 5)
+        s = _random_series(rng, m, order, max_deg)
+        fit = _fit_or_insufficient(rational_reconstruction, s, max_deg)
+        assert fit == _fit_or_insufficient(naive_reconstruction, s.coeffs, max_deg), (m, max_deg, s)
+        outcomes.add(fit is InsufficientOrder)
+        with pytest.raises(ValueError):
+            rational_reconstruction(s, order // 2)  # the least bound with order < 2 max_deg + 2
+    assert outcomes == {True, False}
+
+
+def test_each_special_value_series_is_fitted_once_per_cell(monkeypatch):
+    """One fit of the primitive L-series and one of each quotient zeta in
+    the inclusion-exclusion product, shared by n = 1 and n = 2."""
+    calls = []
+    original = curves.rational_reconstruction
+
+    def spy(series, max_deg):
+        calls.append(series.level)
+        return original(series, max_deg)
+
+    monkeypatch.setattr(curves, "rational_reconstruction", spy)
+    assert run_curves(DEFAULT_COVERS).ok
+    assert len(calls) == sum(1 + len(squarefree_divisors(spec["d"])) for spec in DEFAULT_COVERS) == 9
 
 
 def test_special_value_examples():

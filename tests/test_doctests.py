@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import qlverify.abelian
+import qlverify.curves
 import qlverify.cyclotomic
 import qlverify.dirichlet
 import qlverify.equivariant
@@ -14,8 +15,8 @@ import qlverify.numtheory
 
 @pytest.mark.parametrize(
     "module",
-    [qlverify.numtheory, qlverify.abelian, qlverify.cyclotomic, qlverify.dirichlet,
-     qlverify.equivariant, qlverify.ffqlc, qlverify.gf],
+    [qlverify.numtheory, qlverify.abelian, qlverify.cyclotomic, qlverify.curves,
+     qlverify.dirichlet, qlverify.equivariant, qlverify.ffqlc, qlverify.gf],
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

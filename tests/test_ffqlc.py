@@ -182,6 +182,14 @@ def test_induced_rep_validation():
         InducedRepFF(0, ())
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("rep", [CyclicCharacter(2, 1), InducedRepFF(2, ((2, 1, 1),))])
+def test_equivariant_k_refuses_a_q_that_is_no_prime_power(rep, t):
+    """q is checked before an even degree returns the trivial group."""
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        equivariant_k_finite_field(6, rep, t)
+
+
 def test_norm_equals_direct_product_over_primitive_exponents():
     # third route to the norm: multiply the L-values of all primitive
     # exponents as cyclotomic numbers and check the product is the norm

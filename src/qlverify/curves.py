@@ -32,7 +32,12 @@ constant c encodes as c, so adding 1 only bumps digit 0.  As g^M = g_p
 with M = (p^r - 1)/(p - 1), u_(i+M) = g_p u_i: the power walk extends u
 by doubling steps over numpy slices across the fewest F_p^x sheets of M
 terms that hold 2^17 and p terms, and the rest of u is copied from them,
-scaled by a power of g_p.  The tables are int32 whenever p^r < 2^31.
+scaled by a power of g_p.  Windows are built by doubling too: those of
+width 2w are w_i + p^w w_(i+w), and the set bits of r are added together.
+The Zech array is gathered from dlog for i <= n/2 only, n = p^r - 1; the
+negation identity 1 + g^i = g^i (1 + g^(n-i)) gives the rest as
+zech[i] = zech[n - i] - (n - i) mod n.  The tables are int32 whenever
+p^r < 2^31.
 
 f is then evaluated at every x = g^i by Horner's rule on logs:
 multiplying by x adds i, and adding a nonzero constant is one lookup in
@@ -145,11 +150,14 @@ class _FieldTables:
     as in the coefficient basis.  The norm of g is g_p = g^m with
     m = n/(p-1), so dlog[g_p] = m, a log mod p - 1 is a log to the base
     g_p, and u_(i+km) = g_p^k u_i: u is walked over a whole number of
-    these F_p^x sheets and the rest of it is copied, scaled.
+    these F_p^x sheets and the rest of it is copied, scaled.  The windows
+    are summed by doubling (_windows).
 
     enc_pow[i] = encoding of g^i; dlog[enc] = i, and -1 at enc = 0 only;
     zech[i] = dlog(1 + g^i), the Zech logarithm, -1 where 1 + g^i = 0.
-    The three arrays are int32 when p^r < 2^31, else int64.
+    zech is gathered from dlog up to n // 2 and taken past it from the
+    negation identity 1 + g^i = g^i (1 + g^(n-i)).  The three arrays are
+    int32 when p^r < 2^31, else int64.
     """
 
     def __init__(self, p: int, r: int):
@@ -175,22 +183,46 @@ class _FieldTables:
         dlog = np.full(size, -1, dtype=index)
         for start in range(0, n, _CHUNK):
             stop = min(start + _CHUNK, n)
-            enc = np.zeros(stop - start, dtype=index)
-            for j in reversed(range(r)):
-                enc *= p
-                enc += u[start + j : stop + j]
-            enc_pow[start:stop] = enc
+            enc = enc_pow[start:stop] = _windows(u[start : stop + r - 1], p, r, index)
             dlog[enc] = np.arange(start, stop, dtype=index)
         if dlog[1] != 0 or dlog[0] != -1 or np.count_nonzero(dlog < 0) != 1:
             raise AssertionError("power walk does not hit every nonzero element once")
+        # -1 is g^half (odd p) or g^0 (p = 2), so no mirror is a -1 entry
+        half = n // 2
         zech = np.empty(n, dtype=index)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
+        for start in range(0, half + 1, _CHUNK):
+            stop = min(start + _CHUNK, half + 1)
             # adding 1 bumps digit 0 (which is u_i) only, wrapping p - 1 to
             # 0 without a carry
             plus_one = enc_pow[start:stop] + 1 - p * (u[start:stop] == p - 1).astype(index)
-            zech[start:stop] = np.take(dlog, plus_one)
+            np.take(dlog, plus_one, out=zech[start:stop])
+        sign = 8 * zech.itemsize - 1
+        for start in range(half + 1, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            out = zech[start:stop]
+            np.subtract(zech[n - stop + 1 : n - start + 1][::-1],
+                        np.arange(n - start, n - stop, -1, dtype=index), out=out)
+            out += out >> sign & n  # the difference is in (-n, n): add n where negative
         self.enc_pow, self.dlog, self.zech = enc_pow, dlog, zech
+
+
+def _windows(u: np.ndarray, p: int, r: int, dtype) -> np.ndarray:
+    """The base-p numbers sum_(j<r) u_(i+j) p^j for i <= len(u) - r, in
+    dtype, which must hold p^r.  Windows of width 2w are w'_i = w_i +
+    p^w w_(i+w), so about log2(r) doubling passes and one pass per set bit
+    of r build them, not r multiply-adds."""
+    count = len(u) - r + 1
+    w, width = u.astype(dtype), 1  # the windows of this width
+    out, done = None, 0  # the windows of width done, the set bits of r below width
+    while True:
+        if r & width:
+            part = w[done : done + count]
+            out = part if out is None else out + p**done * part
+            done += width
+        if 2 * width > r:
+            return out
+        w = w[:-width] + p**width * w[width:]
+        width *= 2
 
 
 def _impulse_response(minpoly: tuple[int, ...], p: int, u: np.ndarray) -> None:
@@ -292,9 +324,11 @@ def _horner_histogram(t: _FieldTables, f: tuple[int, ...], lane) -> tuple[int, .
     top = logs_c[-1]
     m = lane(p - 1)
     hist = np.zeros(p - 1, dtype=np.int64)
+    # i is read by a multiplication after the first constant, or by a monomial
+    reads_i = any(f[1:-1]) or not any(f[:-1])
     for start in range(0, n, _CHUNK):
         count = min(_CHUNK, n - start)
-        i = np.arange(start, start + count, dtype=lane)
+        i = np.arange(start, start + count, dtype=lane) if reads_i else None
         acc = None  # the partial log, once a constant has been added
         zero = None  # where the partial value is 0, if anywhere
         s = 0  # multiplications by x before the first constant

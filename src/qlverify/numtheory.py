@@ -3,12 +3,14 @@
 A factorization is the plain tuple of its (prime, exponent) pairs, and
 every Moebius sum in the package runs over squarefree_divisors.
 
-Everything here is exact and sized for desk-scale moduli (trial division
-is deliberate; nothing in this package factors anything near cryptographic
-sizes).  Primality and prime-power tests do not factor: is_prime is a
-deterministic Miller-Rabin test, so a large prime given on the command line
-is accepted or rejected at once, and a number beyond the test's bound is
-refused with a ValueError rather than factored.
+Everything here is exact and sized for desk-scale moduli; nothing in this
+package factors anything near cryptographic sizes.  factorize divides out
+the primes up to 1000 by trial, which settles every number the verifiers
+meet, and splits a composite cofactor past them by Brent's variant of
+Pollard's rho.  Primality and prime-power tests do not factor: is_prime is
+a deterministic Miller-Rabin test, so a large prime given on the command
+line is accepted or rejected at once, and a number beyond the test's bound
+is refused with a ValueError rather than factored.
 """
 
 from __future__ import annotations
@@ -17,23 +19,30 @@ import itertools
 from functools import lru_cache
 from math import gcd, prod
 
+# factorize trial-divides up to this bound before it tries Pollard-Brent
+_TRIAL_BOUND = 1000
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Trial-division factorization as (prime, exponent) pairs, primes
-    increasing; n = 1 gives the empty tuple.
+    """Factorization as (prime, exponent) pairs, primes increasing; n = 1
+    gives the empty tuple.  Trial division runs to _TRIAL_BOUND, and past
+    it while the cofactor is too large for is_prime; a cofactor left with
+    no prime up to the bound is split by Pollard-Brent.
 
     >>> factorize(12)
     ((2, 2), (3, 1))
     >>> factorize(1)
     ()
+    >>> factorize(1009 * 1013**2)
+    ((1009, 1), (1013, 2))
     """
     if n < 1:
         raise ValueError(f"positive integer required, got {n}")
     m = n
     factors = []
     p = 2
-    while p * p <= m:
+    while p * p <= m and (p <= _TRIAL_BOUND or m >= _MILLER_RABIN_BOUND):
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -41,9 +50,52 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             factors.append((p, e))
         p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return tuple(factors)
+    if p * p > m:  # m is 1 or prime
+        if m > 1:
+            factors.append((m, 1))
+        return tuple(factors)
+    # m has no prime below p, so a q | m with p * p > q is prime; below
+    # that, q is below the Miller-Rabin bound and is_prime decides it
+    cofactor = []
+    while m > 1:
+        q = m
+        while p * p <= q and not is_prime(q):
+            q = _brent_divisor(q)
+        e = 0
+        while m % q == 0:
+            m //= q
+            e += 1
+        cofactor.append((q, e))
+    return tuple(factors + sorted(cofactor))
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor up to
+    _TRIAL_BOUND: Brent's cycle search on y -> y^2 + c mod n, one gcd per
+    128 differences, for c = 1, 2, ... until one splits n (R. Brent,
+    BIT 20 (1980) 176-184)."""
+    for c in itertools.count(1):
+        y, q, g, span = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(span):
+                y = (y * y + c) % n
+            done = 0
+            while done < span and g == 1:
+                ys = y
+                for _ in range(min(128, span - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                done += 128
+            span *= 2
+        if g == n:  # the batch overshot: step again from its start, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @lru_cache(maxsize=None)

@@ -321,23 +321,69 @@ def test_tables_match_direct_field_arithmetic(p, r):
     assert t.enc_pow.dtype == t.dlog.dtype == t.zech.dtype == np.int32
 
 
+def full_walk_tables(p, r, minpoly):
+    """enc_pow, dlog and zech of F_(p^r) the direct way, in int64 (p < 256): the
+    impulse response walked in full, each window summed digit by digit by
+    Horner's rule, and every Zech log gathered from dlog."""
+    n = p**r - 1
+    u = np.empty(n + r - 1, dtype=np.uint8)
+    curves._impulse_response(minpoly, p, u)
+    enc_pow = np.zeros(n, dtype=np.int64)
+    for j in reversed(range(r)):
+        enc_pow *= p
+        enc_pow += u[j : j + n]
+    dlog = np.full(n + 1, -1, dtype=np.int64)
+    dlog[enc_pow] = np.arange(n)
+    zech = dlog[enc_pow + 1 - p * (u[:n] == p - 1)]
+    return enc_pow, dlog, zech
+
+
+def assert_tables_match_the_full_walk(t):
+    for name, expected in zip(("enc_pow", "dlog", "zech"), full_walk_tables(t.p, t.r, t.minpoly)):
+        got = getattr(t, name)
+        assert got.dtype == np.int32 and np.array_equal(got, expected), (t.p, t.r, name)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_table_walk_with_sheet_copies_matches_the_full_walk(p):
     """Every F_(p^r) with p^r <= 2 * 10^6: the tables, whose walk stops
     after one or more F_p^x sheets and copies the rest scaled by a power of
-    g_p, encode g^i as the window of the impulse response walked in full.
-    Fields with more than 2 * _CHUNK elements take the copies."""
+    g_p, whose windows are built by doubling and whose Zech logs past n/2
+    come from their mirrors, equal the full walk, full scatter and full
+    gather.  Fields with more than 2 * _CHUNK elements take the copies."""
     r = 1
     while p**r <= 2 * 10**6:
-        t = curves._FieldTables(p, r)
-        u = np.empty(t.n + r - 1, dtype=np.uint8)
-        curves._impulse_response(t.minpoly, p, u)
-        windows = np.zeros(t.n, dtype=np.int64)
-        for j in reversed(range(r)):
-            windows *= p
-            windows += u[j : j + t.n]
-        assert np.array_equal(t.enc_pow, windows), (p, r)
+        assert_tables_match_the_full_walk(curves._FieldTables(p, r))
         r += 1
+
+
+@pytest.mark.parametrize("chunk", [7, 100])
+def test_tables_across_chunks_match_the_full_walk(monkeypatch, chunk):
+    """Passes of a few elements, so that windows, the Zech gather and the
+    mirror pass all cross chunk boundaries, and the gather ends inside one."""
+    monkeypatch.setattr(curves, "_CHUNK", chunk)
+    for p, r in ((2, 1), (2, 2), (2, 7), (2, 10), (3, 1), (3, 5), (5, 4), (7, 3), (13, 2), (131, 1)):
+        assert_tables_match_the_full_walk(curves._FieldTables(p, r))
+
+
+def test_windows_match_horner():
+    """_windows against r multiply-adds per position, for every r from 1 to
+    24 and a few digits past a chunk of positions, in int64 and in int32
+    wherever p^r fits."""
+    rng = np.random.default_rng(28)
+    for r in range(1, 25):
+        for p in (2, 3, 5, 7):
+            if p**r >= 2**63:
+                continue
+            for count in (1, 2, 3, curves._CHUNK - 1, curves._CHUNK + 5):
+                u = rng.integers(0, p, count + r - 1, dtype=np.uint8)
+                expected = np.zeros(count, dtype=np.int64)
+                for j in reversed(range(r)):
+                    expected *= p
+                    expected += u[j : j + count]
+                for dtype in (np.int32, np.int64) if p**r < 2**31 else (np.int64,):
+                    got = curves._windows(u, p, r, dtype)
+                    assert got.dtype == dtype and np.array_equal(got, expected), (p, r, count)
 
 
 def test_tables_need_no_field_arithmetic(monkeypatch):

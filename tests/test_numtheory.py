@@ -166,8 +166,8 @@ def test_smallest_primitive_root():
 def test_factorize_matches_sympy():
     """factorize and prime_factors against sympy.factorint, primes
     increasing, for every n < 20000, a few structured n and 300 seeded
-    random 48-bit n.  The 48-bit n make this the slowest test of the
-    module: trial division of a 48-bit prime takes 2^23 steps."""
+    random 48-bit n.  Most 48-bit n leave a cofactor past the trial
+    bound, so they take the Pollard-Brent path."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(24)
     samples = [*range(1, 20_000), 2**31 - 1, 3**13, 2 * 3 * 5 * 7 * 11 * 13 * 17, 999983 * 1009]
@@ -176,6 +176,26 @@ def test_factorize_matches_sympy():
         expected = sorted(sympy.factorint(n).items())
         assert factorize(n) == tuple(expected), n
         assert prime_factors(n) == tuple(p for p, _ in expected), n
+
+
+def test_factorize_splits_cofactors_past_the_trial_bound():
+    """Products of prime powers past the trial bound of 1000, repeated
+    primes and close pairs among them, with and without small primes, as
+    built from their known factorizations."""
+    rng = random.Random(28)
+    primes = [q for q in range(1000, 1200) if is_prime(q)]
+    primes += [q for q in range(10**6, 10**6 + 200) if is_prime(q)]
+    primes += [2**31 - 1, 2**61 - 1]
+    for _ in range(300):
+        chosen = rng.sample(primes, rng.randint(1, 3))
+        expected = {q: rng.randint(1, 3) for q in chosen}
+        if rng.random() < 0.5:
+            expected |= {q: rng.randint(1, 4) for q in rng.sample([2, 3, 5, 7, 997], 2)}
+        n = math.prod(q**e for q, e in expected.items())
+        if n >= 3 * 10**24:  # past is_prime's bound the cofactor is trial-divided
+            continue
+        assert factorize(n) == tuple(sorted(expected.items())), n
+    assert factorize(1009**2 * 1013**3 * (2**31 - 1)) == ((1009, 2), (1013, 3), (2**31 - 1, 1))
 
 
 def naive_squarefree_divisors(n):

@@ -21,9 +21,9 @@ cyclotomic numbers.
 
 Point enumeration is exhaustive but works on discrete logarithms.  For
 each degree r, tables of F_(p^r) are built once for the generator g = x
-of F_p[x]/m, with m = gf.primitive_polynomial(p, r) the first monic
-polynomial in which x has order p^r - 1 and norm g_p: enc_pow (g^i ->
-encoding), dlog (encoding -> i) and the Zech array zech[i] = dlog(1 + g^i).
+of F_p[x]/m, m = gf.primitive_polynomial(p, r) (x has order p^r - 1 and
+norm g_p; stored for p <= 13, and proved primitive by the walk check):
+enc_pow (g^i -> encoding), dlog (encoding -> i), zech[i] = dlog(1 + g^i).
 Since g^((p^r - 1)/(p - 1)) = g_p, class(x) is dlog(f(x)) mod d.
 Encodings use window coordinates: g^i is the base-p number with digits
 (u_i, ..., u_(i+r-1)), where u is the impulse response of m, the minimal

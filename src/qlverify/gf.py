@@ -10,6 +10,12 @@ primitive root mod p.  That norm condition is the one place where the
 package fixes its generators: x^((p^r - 1)/(p - 1)) = g_p in every degree,
 so a log in F_(p^r) taken mod p - 1 is already a log to the base g_p.
 Irreducibility is Ben-Or's gcd test.
+
+For p <= 13 and p^r <= 3 * 10^7, the fields the curve engine enumerates
+by default, primitive_polynomial reads its answer from _PRIMITIVE_CODES
+and checks only the norm: the walk check of the curve tables proves the
+entry primitive.  Other fields are searched over the candidates of norm
+g_p alone.
 """
 
 from __future__ import annotations
@@ -102,13 +108,17 @@ def is_irreducible(m, p) -> bool:
     return True
 
 
-def _monic_candidates(p: int, r: int):
-    """Monic polynomials of degree r over F_p, lowest degree first, in
-    increasing base-p encoding of their non-leading coefficients."""
+def _check_field(p: int, r: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("degree must be >= 1")
+
+
+def _monic_candidates(p: int, r: int):
+    """Monic polynomials of degree r over F_p, lowest degree first, in
+    increasing base-p encoding of their non-leading coefficients."""
+    _check_field(p, r)
     return ([code // p**i % p for i in range(r)] + [1] for code in range(p**r))
 
 
@@ -122,6 +132,19 @@ def default_modulus(p: int, r: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")
 
 
+# primitive_polynomial(p, r) for p <= 13, r = 1, 2, ... while p^r <=
+# curves.DEFAULT_MAX_FIELD_SIZE: the base-p encoding of its non-leading
+# coefficients
+_PRIMITIVE_CODES = {
+    2: (1, 3, 3, 3, 5, 3, 3, 29, 17, 9, 5, 83, 27, 43, 3, 45, 9, 39, 39, 9, 5, 3, 33, 27),
+    3: (1, 5, 7, 5, 7, 5, 16, 29, 64, 32, 16, 215, 7, 5, 16),
+    5: (3, 7, 18, 37, 23, 7, 18, 157, 38, 37),
+    7: (4, 10, 67, 171, 11, 171, 46, 10),
+    11: (9, 46, 31, 13, 163, 508, 53),
+    13: (11, 15, 37, 184, 63, 197),
+}
+
+
 def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     """The first monic m of degree r, in default_modulus's candidate order,
     that is irreducible over F_p, in which x has multiplicative order
@@ -130,9 +153,20 @@ def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     of F_(p^r)^x = (F_p[x]/m)^x with x^(n/(p-1)) = g_p: the tables of
     every degree share the generator g_p of F_p^x, as Conway polynomials
     do (the norm onto F_p^x maps the generators of F_(p^r)^x onto those of
-    F_p^x, so such an m exists).  The order test x^(n/l) != 1 runs only
-    for the primes l of n prime to p - 1: for l | p - 1 the norm already
-    gives x^(n/l) = g_p^((p-1)/l) != 1.
+    F_p^x, so such an m exists).
+
+    A field in _PRIMITIVE_CODES gets its stored m with only the norm
+    checked; other fields are searched (_search_primitive).  The walk check
+    of curves._FieldTables proves a stored m primitive.  As the norm c is
+    nonzero, a -> e_0 a(T), T the companion matrix of m, is an F_p-linear
+    bijection R = F_p[x]/m -> F_p^r sending x^i to the walk's window i.  If
+    m is irreducible, x^(n/(p-1)) = c in the field R: the walk's scaled
+    copies are exact, and n distinct windows mean that x has order n.  If
+    m is reducible, R has at least p^ceil(r/2) - 1 nonzero non-units, but
+    every window inside one copy is the image of c^k x^i, a unit: only the
+    r - 1 windows across each copy boundary could reach the non-units, and
+    for every stored m they are too few (tests/test_primitive_literal.py
+    counts them).
 
     >>> primitive_polynomial(2, 4)  # x^4 + x + 1
     (1, 1, 0, 0, 1)
@@ -141,15 +175,29 @@ def primitive_polynomial(p: int, r: int) -> tuple[int, ...]:
     >>> primitive_polynomial(7, 1)  # x - 3: 3 is the smallest primitive root mod 7
     (4, 1)
     """
-    candidates = _monic_candidates(p, r)  # checks p and r before prime_factors(n)
+    _check_field(p, r)
+    g_p = smallest_primitive_root(p) % p
+    codes = _PRIMITIVE_CODES.get(p, ())
+    if r > len(codes):
+        return _search_primitive(p, r, g_p)
+    m = tuple(codes[r - 1] // p**i % p for i in range(r)) + (1,)
+    if (-1) ** r * m[0] % p != g_p:
+        raise AssertionError(f"stored primitive polynomial {m} over F_{p} does not have norm {g_p}")
+    return m
+
+
+def _search_primitive(p: int, r: int, g_p: int) -> tuple[int, ...]:
+    """primitive_polynomial by search.  The norm of x is (-1)^r m(0), so
+    only the p^(r-1) candidates with that constant term are tried, in
+    default_modulus's order: Ben-Or, then the order test x^(n/l) != 1 for
+    the primes l of n prime to p - 1 (for l | p - 1 the norm already gives
+    x^(n/l) = g_p^((p-1)/l) != 1)."""
     n = p**r - 1
     order_primes = [ell for ell in prime_factors(n) if (p - 1) % ell]
-    g_p = smallest_primitive_root(p) % p
-    for m in candidates:
-        # (-1)^r m(0) is the norm of x: this integer test rejects all but
-        # one candidate in p before any polynomial arithmetic
-        if ((-1) ** r * m[0] % p == g_p and is_irreducible(m, p)
-                and all(poly_pow_mod([0, 1], n // ell, m, p) != [1] for ell in order_primes)):
+    constant = (-1) ** r * g_p % p
+    for code in range(p ** (r - 1)):
+        m = [constant] + [code // p**i % p for i in range(r - 1)] + [1]
+        if is_irreducible(m, p) and all(poly_pow_mod([0, 1], n // ell, m, p) != [1] for ell in order_primes):
             return tuple(m)
     raise AssertionError("no primitive polynomial found")
 

@@ -10,7 +10,8 @@ meet, and splits a composite cofactor past them by Brent's variant of
 Pollard's rho.  Primality and prime-power tests do not factor: is_prime is
 a deterministic Miller-Rabin test, so a large prime given on the command
 line is accepted or rejected at once, and a number beyond the test's bound
-is refused with a ValueError rather than factored.
+is refused with a ValueError rather than factored.  So is a number whose
+cofactor stays beyond that bound after trial division to _TRIAL_LIMIT.
 """
 
 from __future__ import annotations
@@ -21,14 +22,18 @@ from math import gcd, prod
 
 # factorize trial-divides up to this bound before it tries Pollard-Brent
 _TRIAL_BOUND = 1000
+# and up to this limit while the cofactor is too large for is_prime, about
+# 0.1 s of trial division; past it a cofactor that large is refused
+_TRIAL_LIMIT = 10**6
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factorization as (prime, exponent) pairs, primes increasing; n = 1
     gives the empty tuple.  Trial division runs to _TRIAL_BOUND, and past
-    it while the cofactor is too large for is_prime; a cofactor left with
-    no prime up to the bound is split by Pollard-Brent.
+    it while the cofactor is too large for is_prime, up to _TRIAL_LIMIT: a
+    cofactor still that large raises ValueError.  A cofactor left with no
+    prime up to the bound is split by Pollard-Brent.
 
     >>> factorize(12)
     ((2, 2), (3, 1))
@@ -43,6 +48,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     factors = []
     p = 2
     while p * p <= m and (p <= _TRIAL_BOUND or m >= _MILLER_RABIN_BOUND):
+        if p > _TRIAL_LIMIT:
+            raise ValueError(f"cannot factor {n}: its cofactor {m} is at least {_MILLER_RABIN_BOUND} "
+                             f"and has no prime factor <= {_TRIAL_LIMIT}")
         if m % p == 0:
             e = 0
             while m % p == 0:

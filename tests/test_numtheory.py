@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -196,6 +198,31 @@ def test_factorize_splits_cofactors_past_the_trial_bound():
             continue
         assert factorize(n) == tuple(sorted(expected.items())), n
     assert factorize(1009**2 * 1013**3 * (2**31 - 1)) == ((1009, 2), (1013, 3), (2**31 - 1, 1))
+
+
+def test_factorize_refuses_a_large_cofactor_past_the_trial_limit():
+    """A cofactor at or above is_prime's bound with no prime up to the
+    trial limit of 10^6 is refused with ValueError naming it, at once;
+    one prime at or below the limit still splits such a number."""
+    bound = 3_317_044_064_679_887_385_961_981
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"cofactor {(2**61 - 1) * (2**31 - 1)} "):
+        factorize((2**61 - 1) * (2**31 - 1))
+    assert time.perf_counter() - start < 1
+    assert factorize(1009**9) == ((1009, 9),)
+    assert factorize(1009 * 1013**2) == ((1009, 1), (1013, 2))
+
+    def prime_from(q):
+        return next(k for k in itertools.count(q) if is_prime(k))
+
+    for small, refused in ((999983, False), (prime_from(10**6 + 1), True)):
+        big = prime_from(bound // small + 1)
+        assert small * big >= bound
+        if refused:
+            with pytest.raises(ValueError, match="no prime factor <= 1000000"):
+                factorize(small * big)
+        else:
+            assert factorize(small * big) == ((small, 1), (big, 1))
 
 
 def naive_squarefree_divisors(n):

@@ -561,12 +561,15 @@ def rational_reconstruction(series: TruncatedLSeries, max_deg: int):
     deg num, deg den <= max_deg and den(0) = 1 reproducing every
     coefficient, or InsufficientOrder.
 
-    The extended Euclidean algorithm on t^(B+1) and the series S stops at
-    the first remainder r of degree <= max_deg, with r = v S mod t^(B+1).
-    As B >= 2 max_deg + 2, every pair within the degree bounds is a
-    polynomial multiple of (r, v) (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 5.9), so a fit exists exactly when deg v <= max_deg
-    and v(0) != 0, and it is (r, v) / v(0).
+    Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 15, 1969) on the
+    coefficients s_0..s_B of S finds the shortest recurrence: C with
+    C(0) = 1 and length L, deg C <= L and deg(C S mod t^(B+1)) < L. A fit
+    within the bounds is a recurrence of length max_deg + 1, and as
+    B >= 2 max_deg + 2, one of length L <= max_deg + 1 is unique (2L <= B + 1).
+    So (C S mod t^L, C) is the reduced form of every fit, the extended
+    Euclidean algorithm's (r, v) / v(0) (Dornstetter, IEEE Trans. Inf.
+    Theory 33, 1987), and a fit exists exactly when L <= max_deg + 1 and
+    deg C <= max_deg.
 
     zeta(G_m/F_3) = (1 - t)/(1 - 3t):
 
@@ -578,23 +581,27 @@ def rational_reconstruction(series: TruncatedLSeries, max_deg: int):
     B = series.order
     if B < 2 * max_deg + 2:
         raise ValueError(f"order {B} too small for degree bound {max_deg}")
-    level = series.level
+    level, s = series.level, series.coeffs
     zero, one = CyclotomicNumber.rational(level, 0), CyclotomicNumber.rational(level, 1)
-    # remainders r_i = s_i t^(B+1) + v_i S, as coefficient lists without
-    # trailing zeros, lowest degree first
-    r0, r1 = [zero] * (B + 1) + [one], _trimmed(series.coeffs)
-    v0, v1 = [], [one]
-    while len(r1) > max_deg + 1:
-        m, inv = len(r1) - 1, r1[-1].inverse()
-        q = [zero] * (len(r0) - m)
-        for i in reversed(range(len(q))):  # long division: q[i] is still 0 here
-            q[i] = _less_product(level, r0, q, r1, i + m) * inv
-        r0, r1 = r1, _trimmed(_less_product(level, r0, q, r1, k) for k in range(m))
-        v0, v1 = v1, [_less_product(level, v0, q, v1, k) for k in range(len(q) + len(v1) - 1)]
-    if len(v1) > max_deg + 1 or v1[0].is_zero:
+    # the recurrence C of length L; prev, the one before the last length
+    # change, whose discrepancy had inverse inv, gap steps ago
+    C, L, prev, inv, gap = [one], 0, [one], one, 1
+    for n in range(B + 1):
+        d = _sum_of_products(level, ((c, s[n - i]) for i, c in enumerate(C)))
+        if not d.is_zero:  # C <- C - d inv t^gap prev
+            scale, new = -(d * inv), C + [zero] * (gap + len(prev) - len(C))
+            for i, c in enumerate(prev, gap):
+                new[i] = new[i] + scale * c
+            if 2 * L <= n:
+                L, prev, inv, gap = n + 1 - L, C, d.inverse(), 0
+            C = new
+        gap += 1
+    den = _trimmed(C)
+    if L > max_deg + 1 or len(den) > max_deg + 1:
         raise InsufficientOrder(f"no recurrence of order <= {max_deg} fits")
-    scale = v1[0].inverse()
-    return tuple(c * scale for c in r1) or (zero,), tuple(c * scale for c in v1)
+    num = _trimmed(_sum_of_products(level, ((c, s[k - i]) for i, c in enumerate(den[: k + 1])))
+                   for k in range(L))
+    return tuple(num) or (zero,), tuple(den)
 
 
 def _trimmed(coeffs) -> list[CyclotomicNumber]:
@@ -602,15 +609,6 @@ def _trimmed(coeffs) -> list[CyclotomicNumber]:
     while coeffs and coeffs[-1].is_zero:
         coeffs.pop()
     return coeffs
-
-
-def _less_product(level: int, c, q, w, k: int) -> CyclotomicNumber:
-    """Coefficient k of c - q w, for coefficient lists lowest degree first,
-    as one sum of products."""
-    pairs = [(-x, w[k - j]) for j, x in enumerate(q) if 0 <= k - j < len(w)]
-    if k < len(c):
-        pairs.append((c[k], CyclotomicNumber.rational(level, 1)))
-    return _sum_of_products(level, pairs)
 
 
 def evaluate_rational(num, den, point) -> CyclotomicNumber:

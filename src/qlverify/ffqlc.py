@@ -26,7 +26,7 @@ from .abelian import FgAbelianGroup
 from .cyclotomic import CyclotomicNumber, _root_sum, quotient_by_principal
 from .equivariant import CyclicMackeyData, bredon_cohomology
 from .numtheory import divisors, prime_factors, prime_power_decomposition, squarefree_divisors
-from .report import PASS, SKIP, VerificationReport, fmt_rational
+from .report import FAIL, PASS, SKIP, VerificationReport, fmt_rational
 
 
 @dataclass(frozen=True)
@@ -180,14 +180,20 @@ def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> Verification
     prim = chi.primitivize()
 
     l_value = artin_l_value_ff(q, chi, k)
+    factor = _euler_factor(q, chi, k)
     norm_l = l_value.norm_to_Q()
     moebius = moebius_zeta_product_ff(q, prim.m, k)
 
     pi_odd = equivariant_k_finite_field(q, chi, 2 * k - 1)
     pi_even = equivariant_k_finite_field(q, chi, 2 * k)
 
-    rep.add(case, "l_value", "cyclotomic_inverse",
-            json.dumps(l_value.as_json(), sort_keys=True), PASS)
+    # the printed L-value times its Euler factor must be 1
+    l_text = json.dumps(l_value.as_json(), sort_keys=True)
+    product = l_value * factor
+    if product == CyclotomicNumber.rational(product.level, 1):
+        rep.add(case, "l_value", "cyclotomic_inverse", l_text, PASS)
+    else:
+        rep.add(case, "l_value", "cyclotomic_inverse", f"{l_text} * ({factor}) = {product} != 1", FAIL)
 
     rep.check(case, "norm_vs_moebius", "conjugate_product|moebius_zeta_product",
               norm_l, moebius, render=fmt_rational)
@@ -197,7 +203,7 @@ def verify_main_theorem_ff(q: int, chi: CyclicCharacter, k: int) -> Verification
     rep.check(case, "norm_vs_k_ratio", "conjugate_product|signed_pi_ratio",
               norm_l, ratio, render=fmt_rational)
 
-    structural = quotient_by_principal(_euler_factor(q, chi, k))
+    structural = quotient_by_principal(factor)
     rep.check(case, "pi_odd_structure", "bredon_H0|cyclotomic_quotient",
               pi_odd, structural)
 

@@ -6,8 +6,8 @@ which sums each coefficient on integer numerators.
 naive_reconstruction fits a series the way the package once did: for each
 denominator degree k = 0..max_deg in turn, a Gauss-Jordan solve over
 Q(zeta_level) of the linear recurrence the coefficients past max_deg must
-satisfy.  curves.rational_reconstruction runs the extended Euclidean
-algorithm instead, so the two share no code."""
+satisfy.  curves.rational_reconstruction runs Berlekamp-Massey instead,
+so the two share no code."""
 
 from __future__ import annotations
 

@@ -608,6 +608,28 @@ def _random_series(rng, m, order, max_deg):
     return num * padded(rng.randint(0, max_deg + 1), nonzero_constant=True).inverse()
 
 
+def _edge_series(rng, m, max_deg):
+    """At order 2 max_deg + 2: the zero series, t^k a / (1 - c t) for
+    k <= max_deg, polynomials of degree max_deg and max_deg + 1, and
+    1 / (1 - zeta t^(max_deg + 1))."""
+    order = 2 * max_deg + 2
+    zero, one = CyclotomicNumber.rational(m, 0), CyclotomicNumber.rational(m, 1)
+
+    def poly(*coeffs):
+        return TruncatedLSeries(m, order, coeffs + (zero,) * (order + 1 - len(coeffs)))
+
+    def nonzero():
+        x = _random_element(rng, m)
+        return x if not x.is_zero else one
+
+    yield poly()
+    for k in range(max_deg + 1):
+        yield poly(*(zero,) * k, nonzero()) * poly(one, nonzero()).inverse()
+    for deg in (max_deg, max_deg + 1):
+        yield poly(*(_random_element(rng, m) for _ in range(deg)), nonzero())
+    yield poly(one, *(zero,) * max_deg, -CyclotomicNumber.zeta(m)).inverse()
+
+
 def _fit_or_insufficient(fit, *args):
     try:
         return fit(*args)
@@ -616,21 +638,25 @@ def _fit_or_insufficient(fit, *args):
 
 
 def test_reconstruction_matches_the_gauss_jordan_oracle():
-    """The extended-Euclid fit against the per-degree Gauss-Jordan solves of
-    naive_series, on levels 1..12: the same (num, den), or InsufficientOrder
-    from both."""
+    """The Berlekamp-Massey fit against the per-degree Gauss-Jordan solves
+    of naive_series, on levels 1..12 and on edge inputs down to max_deg = 0
+    at B = 2: the same (num, den), or InsufficientOrder from both."""
     rng = random.Random(27)
-    outcomes = set()
-    for _ in range(250):
+    cases = []
+    for _ in range(750):
         m = rng.randint(1, 12)
         max_deg = rng.randint(0, 4)
         order = rng.randint(2 * max_deg + 2, 2 * max_deg + 5)
-        s = _random_series(rng, m, order, max_deg)
+        cases.append((max_deg, _random_series(rng, m, order, max_deg)))
+    cases += [(max_deg, s) for max_deg in range(5) for m in (1, 4, 7, 12)
+              for s in _edge_series(rng, m, max_deg)]
+    outcomes = set()
+    for max_deg, s in cases:
         fit = _fit_or_insufficient(rational_reconstruction, s, max_deg)
-        assert fit == _fit_or_insufficient(naive_reconstruction, s.coeffs, max_deg), (m, max_deg, s)
+        assert fit == _fit_or_insufficient(naive_reconstruction, s.coeffs, max_deg), (s.level, max_deg, s)
         outcomes.add(fit is InsufficientOrder)
         with pytest.raises(ValueError):
-            rational_reconstruction(s, order // 2)  # the least bound with order < 2 max_deg + 2
+            rational_reconstruction(s, s.order // 2)  # the least bound with order < 2 max_deg + 2
     assert outcomes == {True, False}
 
 

@@ -19,8 +19,6 @@ KILLED.
 - every generalized Bernoulli number negated (item 11);
 - B_4 = -1/15 in bernoulli_number, so zeta(-3) reads 1/60 (item 15);
 - L(chi-bar) for L(chi) in dirichlet_l_value (item 19);
-- L(chi-bar) for L(chi) in artin_l_value_ff: the printed l_value is
-  wrong and still PASS (item 21);
 - L[a] from zeta^(-a c) in l_series_kummer (item 23);
 - one histogram count moved from class 1 to class 0 at r = 4 in
   _residue_histogram_mod: special values turn to SKIP (items 16, 17, 18);
@@ -108,6 +106,12 @@ def euler_factor_plus(monkeypatch):
     monkeypatch.setattr(ffqlc, "_euler_factor", lambda q, chi, k: 2 - original(q, chi, k))
 
 
+def conjugated_l_value(monkeypatch):
+    original = ffqlc.artin_l_value_ff
+    monkeypatch.setattr(ffqlc, "artin_l_value_ff",
+                        lambda q, chi, k: original(q, chi, k).galois_conjugate(-1))
+
+
 def doubled_conjugate_product_norm(monkeypatch):
     original = cyclotomic._conjugate_product
 
@@ -131,6 +135,7 @@ KILLED = {
     "special_values_times_2": (partial(scaled, curves, "l_special_value_curve", 2), [CURVES]),
     "euler_factor_one_plus": (euler_factor_plus, [FFQLC]),
     "conjugate_product_norm_times_2": (doubled_conjugate_product_norm, [FFQLC]),
+    "l_value_conjugated": (conjugated_l_value, [FFQLC]),
 }
 
 

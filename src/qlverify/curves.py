@@ -593,11 +593,14 @@ def rational_reconstruction(series: TruncatedLSeries, max_deg: int):
             for i, c in enumerate(prev, gap):
                 new[i] = new[i] + scale * c
             if 2 * L <= n:
-                L, prev, inv, gap = n + 1 - L, C, d.inverse(), 0
+                L = n + 1 - L
+                if L > max_deg + 1:  # L never falls
+                    raise InsufficientOrder(f"no recurrence of order <= {max_deg} fits")
+                prev, inv, gap = C, d.inverse(), 0
             C = new
         gap += 1
     den = _trimmed(C)
-    if L > max_deg + 1 or len(den) > max_deg + 1:
+    if len(den) > max_deg + 1:
         raise InsufficientOrder(f"no recurrence of order <= {max_deg} fits")
     num = _trimmed(_sum_of_products(level, ((c, s[k - i]) for i, c in enumerate(den[: k + 1])))
                    for k in range(L))

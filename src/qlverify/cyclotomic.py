@@ -13,9 +13,12 @@ numerator vectors: with y = x * sigma_(-1)(x) and Q the product of sigma_j(y)
 over the units 2 <= j <= m/2, the norm is y Q / den^phi(m) and
 x^(-1) = sigma_(-1)(x) Q / N(x).
 
-One zeta-shift builds both the reduction table of x^i mod Phi_m and the
-columns zeta^i z of the matrix whose cokernel is Z[zeta_m]/(z).  Galois
-conjugates and raise_level are one monomial substitution zeta -> zeta^j.
+Phi_m is the Moebius product of the binomials x^(m/d) - 1 over the
+squarefree divisors d of m, and every reduction modulo Phi_m is one
+division pass by it, after exponents fold mod m; the columns zeta^i z of
+the matrix whose cokernel is Z[zeta_m]/(z) are each the reduction of the
+last one moved up one place.  Galois conjugates and raise_level are one
+monomial substitution zeta -> zeta^j.
 A sum of products, such as a coefficient of a product of power series, is
 accumulated on integer numerators and canonicalized once.
 """
@@ -28,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import FgAbelianGroup, IntMatrix, cokernel
-from .numtheory import divisors, euler_phi
+from .numtheory import euler_phi, squarefree_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -46,28 +49,14 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_div_exact(a, b):
-    """Exact quotient of integer polynomials a / b; b monic."""
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q[i - db] = c
-            for j, y in enumerate(b, i - db):
-                a[j] -= c * y
-    if any(a):
-        raise ArithmeticError("division not exact")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first.
 
-    Computed by dividing x^m - 1 by each lower-level factor in turn; monic
-    of degree phi(m) and irreducible over Q.
+    The Moebius product of x^(m/d) - 1 to the power mu(d) over the
+    squarefree divisors d of m: the factors with mu(d) = 1 are multiplied
+    in, then those with mu(d) = -1 divided out.  Monic of degree phi(m) and
+    irreducible over Q.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -78,55 +67,50 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("level must be positive")
-    quo = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m):
-        if d < m:
-            quo = _poly_div_exact(quo, cyclotomic_polynomial(d))
-    return tuple(quo)
-
-
-def _zeta_shift(vec: list[int], phi_m) -> list[int]:
-    """Power-basis coefficients of zeta times sum(vec[i] zeta^i): vec moved
-    up one place, less the coefficient that left the top times Phi_m
-    (monic, lowest degree first)."""
-    top = vec[-1]
-    vec = [0] + vec[:-1]
-    if top:
-        vec = [x - top * c for x, c in zip(vec, phi_m)]
-    return vec
+    poly, divided = [1], []
+    for d, mu in squarefree_divisors(m):
+        e = m // d
+        if mu == 1:  # times x^e - 1
+            poly = [x - y for x, y in zip([0] * e + poly, poly + [0] * e)]
+        else:
+            divided.append(e)
+    for e in divided:  # a = (x^e - 1) q gives q_j = q_(j-e) - a_j
+        quo = []
+        for j, a in enumerate(poly):
+            quo.append((quo[j - e] if j >= e else 0) - a)
+        if any(quo[-e:]):  # the top e terms of the recurrence are the remainder
+            raise ArithmeticError(f"x^{e} - 1 does not divide {poly}")
+        poly = quo[:-e]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x^i mod Phi_m for phi(m) <= i < m, each row as the (index,
-    coefficient) pairs of its nonzero power-basis coefficients."""
+def _monic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(m) and, for each nonzero term c x^k of Phi_m below its leading
+    term, the pair (k - phi(m), c)."""
     phi_m = cyclotomic_polynomial(m)
-    row = [-c for c in phi_m[:-1]]
-    rows = []
-    for _ in range(len(row), m):
-        rows.append(tuple((k, c) for k, c in enumerate(row) if c))
-        row = _zeta_shift(row, phi_m)
-    return tuple(rows)
+    phi = len(phi_m) - 1
+    return phi, tuple((k - phi, c) for k, c in enumerate(phi_m[:-1]) if c)
 
 
 def _reduce(m: int, vec) -> tuple[int, ...]:
     """Power-basis coefficients of sum(vec[i] x^i) mod Phi_m, for integer vec
-    of any length.  Exponents first fold mod m, valid as Phi_m | x^m - 1."""
-    table = _reduction_table(m)
-    phi = m - len(table)
+    of any length.  Exponents first fold mod m, valid as Phi_m | x^m - 1;
+    then one division pass by the monic Phi_m, from the top term down."""
+    phi, tail = _monic_tail(m)
     if len(vec) > m:
         folded = [0] * m
         for i, c in enumerate(vec):
             folded[i % m] += c
         vec = folded
-    out = list(vec[:phi])
+    out = list(vec)
     out += [0] * (phi - len(out))
-    for i in range(phi, len(vec)):
-        c = vec[i]
-        if c:
-            for k, t in table[i - phi]:
-                out[k] += c * t
-    return tuple(out)
+    for i in range(len(out) - 1, phi - 1, -1):
+        c = out[i]
+        if c:  # c x^i = c x^(i - phi) (Phi_m - tail)
+            for k, t in tail:
+                out[i + k] -= c * t
+    return tuple(out[:phi])
 
 
 def _conjugate(m: int, num, j: int) -> tuple[int, ...]:
@@ -375,13 +359,12 @@ class CyclotomicNumber:
 def multiplication_matrix(z: CyclotomicNumber) -> IntMatrix:
     """Matrix of multiplication by an integral z on Z[zeta_m] in the power basis.
 
-    Column i is zeta^i z, the zeta-shift of column i - 1."""
+    Column i is zeta^i z, column i - 1 moved up one place and reduced."""
     if not z.is_integral:
         raise ValueError("integral element required")
-    phi_m = cyclotomic_polynomial(z.level)
-    cols = [list(z.num)]  # den == 1
+    cols = [z.num]  # den == 1
     for _ in range(1, len(z.num)):
-        cols.append(_zeta_shift(cols[-1], phi_m))
+        cols.append(_reduce(z.level, (0,) + cols[-1]))
     return IntMatrix(len(cols), len(cols), tuple(zip(*cols)))
 
 
@@ -390,7 +373,7 @@ def quotient_by_principal(z: CyclotomicNumber) -> FgAbelianGroup:
     factors, where m is z.level.
 
     Computed as the cokernel of the multiplication-by-z matrix, whose
-    columns zeta^i z are taken by zeta-shifts; its order equals
+    columns zeta^i z are each the last one times zeta; its order equals
     |norm_to_Q(z)|.
     """
     if z.is_zero:

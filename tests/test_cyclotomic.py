@@ -6,6 +6,7 @@ import pytest
 from qlverify.abelian import cokernel
 from qlverify.cyclotomic import (
     CyclotomicNumber,
+    _reduce,
     _root_sum,
     _sum_of_products,
     cyclotomic_polynomial,
@@ -429,9 +430,23 @@ def test_constructor_rejects_wrong_length():
 def test_cyclotomic_polynomial_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for m in range(1, 61):
+    # three or four odd primes; Phi_105 is the first with a coefficient -2
+    for m in [*range(1, 61), 105, 165, 195, 210, 255, 385, 1008, 1155]:
         expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
+
+
+def test_reduce_matches_sympy_rem():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for m in [*range(1, 41), 105, 210]:
+        phi_m = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+        for _ in range(4):
+            vec = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 2 * m + 1))]
+            rem = sympy.Poly(vec[::-1] or [0], x).rem(phi_m).all_coeffs()[::-1]
+            expected = [int(c) for c in rem] + [0] * (euler_phi(m) - len(rem))
+            assert _reduce(m, vec) == tuple(expected), (m, vec)
 
 
 def test_norm_matches_sympy_resultant():

@@ -112,6 +112,17 @@ def conjugated_l_value(monkeypatch):
                         lambda q, chi, k: original(q, chi, k).galois_conjugate(-1))
 
 
+def twisted_primitivize(twist, monkeypatch):
+    """primitivize returning (m', twist(m', a')) for its right answer (m', a')."""
+    original = ffqlc.CyclicCharacter.primitivize
+
+    def primitivize(self):
+        prim = original(self)
+        return ffqlc.CyclicCharacter(prim.m, twist(prim.m, prim.a))
+
+    monkeypatch.setattr(ffqlc.CyclicCharacter, "primitivize", primitivize)
+
+
 def doubled_conjugate_product_norm(monkeypatch):
     original = cyclotomic._conjugate_product
 
@@ -136,6 +147,9 @@ KILLED = {
     "euler_factor_one_plus": (euler_factor_plus, [FFQLC]),
     "conjugate_product_norm_times_2": (doubled_conjugate_product_norm, [FFQLC]),
     "l_value_conjugated": (conjugated_l_value, [FFQLC]),
+    "primitivize_conjugated": (partial(twisted_primitivize, lambda m, a: -a % m), [FFQLC]),
+    "primitivize_twisted_by_sigma_2": (
+        partial(twisted_primitivize, lambda m, a: 2 * a % m if m % 2 and m > 2 else a), [FFQLC]),
 }
 
 
